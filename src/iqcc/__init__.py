@@ -32,7 +32,6 @@ from .pauli import (
     commutator_half,
     commutes,
     conjugate_by_word,
-    flip_indices,
     frobenius_norm,
     multiply,
     read_operator,

@@ -34,7 +34,7 @@ from .fermion import (
 )
 from .pauli import Operator, ParseError, read_operator, write_operator
 from .product_state import purify, qmf_minimize
-from .screening import build_dis, dis_pool, fermionic_sd_pool, group_members, two_qubit_pauli_pool
+from .screening import build_dis, dis_pool, fermionic_sd_pool, two_qubit_pauli_pool
 
 logger = logging.getLogger(__name__)
 

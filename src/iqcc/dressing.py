@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import DimensionError, Operator, PauliWord, _popcount_u64
+from .pauli import Operator, PauliWord, anticommuting, commutator_terms
 
 
 def _reduce_angle(tau: float) -> float:
@@ -39,38 +39,16 @@ class DressingStep:
         object.__setattr__(self, "tau", _reduce_angle(float(self.tau)))
 
 
-def _split_by_commutation(h: Operator, p: PauliWord):
-    px, pz = np.uint64(p.x_mask), np.uint64(p.z_mask)
-    xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
-    anti = ((_popcount_u64(xs & pz) + _popcount_u64(zs & px)) & 1).astype(bool)
-    return xs, zs, cs, anti, px, pz
-
-
-def _commutator_words(xa, za, ca, px, pz, p: PauliWord):
-    """Words and signed coefficients of -(i/2)[., p] for anticommuting terms."""
-    xn, zn = xa ^ px, za ^ pz
-    k = (
-        _popcount_u64(xa & za)
-        + (p.x_mask & p.z_mask).bit_count()
-        - _popcount_u64(xn & zn)
-        + 2 * _popcount_u64(za & px)
-    ) % 4
-    return xn, zn, ca * np.where(k == 1, 1.0, -1.0)
-
-
 def dress(h: Operator, step: DressingStep) -> Operator:
     """Similarity-transform h by one exponential factor."""
     p = step.generator
-    if h.n_qubits != p.n_qubits:
-        raise DimensionError("operator/generator qubit mismatch")
-    if step.tau == 0.0 or h.is_empty:
+    anti = anticommuting(h, p)
+    if step.tau == 0.0 or not anti.any():
         return h
     sin_t, cos_t = math.sin(step.tau), math.cos(step.tau)
-    xs, zs, cs, anti, px, pz = _split_by_commutation(h, p)
-    if not anti.any():
-        return h
+    xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
     xa, za, ca = xs[anti], zs[anti], cs[anti]
-    xn, zn, cn = _commutator_words(xa, za, ca, px, pz, p)
+    xn, zn, cn = commutator_terms(xa, za, ca, p)
     return Operator._from_raw(
         h.n_qubits,
         np.concatenate([xs[~anti], xa, xn]),
@@ -85,16 +63,12 @@ def dress_derivative(h: Operator, step: DressingStep) -> Operator:
     Equals cos(tau) * (-(i/2)[h, P]) + sin(tau)/2 * (P h P - h).
     """
     p = step.generator
-    if h.n_qubits != p.n_qubits:
-        raise DimensionError("operator/generator qubit mismatch")
-    if h.is_empty:
-        return h
-    sin_t, cos_t = math.sin(step.tau), math.cos(step.tau)
-    xs, zs, cs, anti, px, pz = _split_by_commutation(h, p)
+    anti = anticommuting(h, p)
     if not anti.any():
         return Operator.zero(h.n_qubits)
-    xa, za, ca = xs[anti], zs[anti], cs[anti]
-    xn, zn, cn = _commutator_words(xa, za, ca, px, pz, p)
+    sin_t, cos_t = math.sin(step.tau), math.cos(step.tau)
+    xa, za, ca = h.x_masks[anti], h.z_masks[anti], h.coefficients[anti]
+    xn, zn, cn = commutator_terms(xa, za, ca, p)
     return Operator._from_raw(
         h.n_qubits,
         np.concatenate([xa, xn]),

@@ -9,10 +9,12 @@ paths.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .pauli import DimensionError, Operator, PauliWord, phase_value
+from .pauli import DimensionError, Operator, PauliWord, flip_runs, parity_signs, phase_value
 
 DENSE_QUBIT_LIMIT = 10
 ITERATIVE_QUBIT_LIMIT = 16
@@ -31,28 +33,26 @@ def _check_dim(vec: np.ndarray, n_qubits: int) -> None:
         raise DimensionError(f"state length {vec.shape} does not match {n_qubits} qubits")
 
 
-def _z_signs(idx: np.ndarray, z_mask: int) -> np.ndarray:
-    """(-1)**popcount(idx & z_mask) as a float array."""
-    return 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
-
-
 def apply_word(vec: np.ndarray, w: PauliWord) -> np.ndarray:
     """Apply one Pauli word to a state vector (norm-preserving)."""
     _check_dim(vec, w.n_qubits)
     idx = np.arange(vec.size, dtype=np.int64)
     phase = phase_value((w.x_mask & w.z_mask).bit_count())
-    out = _z_signs(idx, w.z_mask) * vec
+    out = parity_signs(idx, w.z_mask) * vec
     return phase * out[idx ^ w.x_mask]
 
 
-def _iter_flip_groups(h: Operator):
-    """Yield (x_mask, slice) runs of the canonical term arrays (sorted by x)."""
-    xs = h.x_masks
-    start = 0
-    for i in range(1, len(xs) + 1):
-        if i == len(xs) or xs[i] != xs[start]:
-            yield int(xs[start]), slice(start, i)
-            start = i
+def _run_diagonal(idx: np.ndarray, x: int, zs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Diagonal that, applied before the x permutation, gives one flip run's terms.
+
+    Sums c * i**(#y) * (-1)**popcount(idx & z) over the run's (z, c) pairs.
+    """
+    d = np.zeros(idx.size, dtype=np.complex128)
+    for z, c in zip(zs, cs):
+        z = int(z)
+        phase = phase_value((x & z).bit_count())
+        d += (c * phase) * parity_signs(idx, z)
+    return d
 
 
 def make_matvec(h: Operator):
@@ -61,41 +61,21 @@ def make_matvec(h: Operator):
     Terms sharing an x_mask share one index permutation; their z-signs and
     y-phases are folded into a cached diagonal vector when memory allows.
     """
-    n = h.n_qubits
-    dim = 1 << n
+    dim = 1 << h.n_qubits
     idx = np.arange(dim, dtype=np.int64)
+    zs, cs = h.z_masks, h.coefficients
+    runs = flip_runs(h)
+    cache = 0 < len(runs) * dim <= _DIAG_CACHE_ENTRIES
     groups = []
-    xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
+    for x, sl in runs:
+        diag = partial(_run_diagonal, idx, x, zs[sl], cs[sl])
+        groups.append((idx ^ x, diag() if cache else diag))
 
-    def diag_for(sl: slice) -> np.ndarray:
-        d = np.zeros(dim, dtype=np.complex128)
-        for z, c in zip(zs[sl], cs[sl]):
-            z = int(z)
-            phase = phase_value((int(xs[sl.start]) & z).bit_count())
-            d += (c * phase) * _z_signs(idx, z)
-        return d
-
-    n_groups = sum(1 for _ in _iter_flip_groups(h))
-    cache_diags = 0 < n_groups * dim <= _DIAG_CACHE_ENTRIES
-    for x, sl in _iter_flip_groups(h):
-        perm = idx ^ x
-        groups.append((perm, diag_for(sl) if cache_diags else sl))
-
-    if cache_diags:
-
-        def matvec(v: np.ndarray) -> np.ndarray:
-            out = np.zeros(dim, dtype=np.complex128)
-            for perm, diag in groups:
-                out += (diag * v)[perm]
-            return out
-
-    else:
-
-        def matvec(v: np.ndarray) -> np.ndarray:
-            out = np.zeros(dim, dtype=np.complex128)
-            for perm, sl in groups:
-                out += (diag_for(sl) * v)[perm]
-            return out
+    def matvec(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(dim, dtype=np.complex128)
+        for perm, diag in groups:
+            out += ((diag if cache else diag()) * v)[perm]
+        return out
 
     return matvec
 
@@ -121,12 +101,8 @@ def dense_matrix(h: Operator) -> np.ndarray:
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    for x, sl in _iter_flip_groups(h):
-        perm = idx ^ x
-        for z, c in zip(h.z_masks[sl], h.coefficients[sl]):
-            z = int(z)
-            phase = phase_value((x & z).bit_count())
-            mat[perm, idx] += (c * phase) * _z_signs(idx, z)
+    for x, sl in flip_runs(h):
+        mat[idx ^ x, idx] = _run_diagonal(idx, x, h.z_masks[sl], h.coefficients[sl])
     return mat
 
 

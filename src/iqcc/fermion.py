@@ -11,6 +11,7 @@ parity encodings are implemented; their images have identical spectra.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, TextIO
@@ -18,7 +19,9 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import exact
-from .pauli import DimensionError, Operator, ParseError, PauliWord, commutator_half, mask_product, phase_value
+from .pauli import (
+    DimensionError, Operator, ParseError, PauliWord, anticommuting, mask_product, parity_signs, phase_value,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -112,6 +115,8 @@ def parse_integrals(stream: TextIO) -> IntegralData:
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: malformed record {raw!r}") from exc
+        if not math.isfinite(val):
+            raise ParseError(f"line {lineno}: non-finite value {parts[0]!r}")
         if any(not 0 <= p <= n for p in (i, j, k, l)):
             raise ParseError(f"line {lineno}: orbital index out of range 1..{n}")
         if i == j == k == l == 0:
@@ -331,10 +336,8 @@ def spin_penalize(h: Operator, s2: Operator, mu: float) -> Operator:
 
 
 def symmetry_commutes(p: PauliWord, s: Operator) -> bool:
-    """True iff the canonical commutator [s, p] is empty."""
-    if p.n_qubits != s.n_qubits:
-        raise DimensionError("word/operator qubit mismatch")
-    return commutator_half(s, p).is_empty
+    """True iff every term of s commutes with p, so that [s, p] is zero."""
+    return not anticommuting(s, p).any()
 
 
 # -- stationary-qubit reduction ---------------------------------------------------
@@ -388,7 +391,7 @@ def reduce_qubits(h: Operator, assignment: QubitAssignment) -> Operator:
         raise ValueError("cannot reduce away every qubit")
 
     minus_mask = np.uint64(sum(1 << p for p in positions if assignment.eigenvalues[p] == -1))
-    signs = 1.0 - 2.0 * (np.bitwise_count(h.z_masks & minus_mask) & np.uint64(1)).astype(np.float64)
+    signs = parity_signs(h.z_masks, minus_mask)
     xs = h.x_masks.copy()
     zs = h.z_masks.copy()
     for p in sorted(positions, reverse=True):

@@ -142,13 +142,18 @@ def y_parity(w: PauliWord) -> int:
     return (w.x_mask & w.z_mask).bit_count() % 2
 
 
-def flip_indices(w: PauliWord) -> frozenset[int]:
-    """Qubits where w acts with x or y (the set bits of x_mask)."""
-    return frozenset(j for j in range(w.n_qubits) if (w.x_mask >> j) & 1)
+def mask_bits(mask: int) -> frozenset[int]:
+    """Positions of the set bits of a mask (for an x_mask: the flip indices)."""
+    return frozenset(j for j in range(mask.bit_length()) if (mask >> j) & 1)
 
 
 def _popcount_u64(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a).astype(np.int64)
+
+
+def parity_signs(a: np.ndarray, m) -> np.ndarray:
+    """(-1)**popcount(a & m) elementwise, as float64."""
+    return 1.0 - 2.0 * (np.bitwise_count(a & m) & 1)
 
 
 def _canonical_arrays(
@@ -182,6 +187,8 @@ class Operator:
         xs = np.fromiter((w.x_mask for w, _ in words), dtype=np.uint64, count=len(words))
         zs = np.fromiter((w.z_mask for w, _ in words), dtype=np.uint64, count=len(words))
         cs = np.fromiter((float(c) for _, c in words), dtype=np.float64, count=len(words))
+        if not np.isfinite(cs).all():
+            raise ValueError("operator coefficients must be finite")
         for w, _ in words:
             if w.n_qubits != n_qubits:
                 raise DimensionError(f"term on {w.n_qubits} qubits in {n_qubits}-qubit operator")
@@ -321,40 +328,59 @@ class Operator:
         return f"Operator(n_qubits={self.n_qubits}, terms={len(self)})"
 
 
+def anticommuting(h: Operator, p: PauliWord) -> np.ndarray:
+    """Boolean mask of the terms of h that anticommute with p."""
+    if h.n_qubits != p.n_qubits:
+        raise DimensionError("operator/word qubit mismatch")
+    px, pz = np.uint64(p.x_mask), np.uint64(p.z_mask)
+    return (np.bitwise_count((h.x_masks & pz) ^ (h.z_masks & px)) & 1).astype(bool)
+
+
+def commutator_terms(
+    xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, p: PauliWord
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words and coefficients of -(i/2)[c*w, p] for terms c*w anticommuting with p.
+
+    Each term maps to +-c * (w*p), the sign fixed by the product phase.
+    """
+    px, pz = np.uint64(p.x_mask), np.uint64(p.z_mask)
+    xn, zn = xs ^ px, zs ^ pz
+    k = (
+        _popcount_u64(xs & zs)
+        + (p.x_mask & p.z_mask).bit_count()
+        - _popcount_u64(xn & zn)
+        + 2 * _popcount_u64(zs & px)
+    ) % 4
+    # k is odd for anticommuting pairs, so -i * i**k is +-1
+    return xn, zn, cs * np.where(k == 1, 1.0, -1.0)
+
+
+def flip_runs(h: Operator) -> list[tuple[int, slice]]:
+    """(x_mask, slice) of each run of equal x_mask in the canonical term arrays."""
+    if h.is_empty:
+        return []
+    xs = h.x_masks
+    edges = [0, *(np.flatnonzero(xs[1:] != xs[:-1]) + 1).tolist(), len(xs)]
+    return [(int(xs[a]), slice(a, b)) for a, b in zip(edges, edges[1:])]
+
+
 def commutator_half(h: Operator, p: PauliWord) -> Operator:
     """-(i/2)[h, p], always real for real h.
 
     Terms of h that commute with p contribute nothing; each anticommuting
-    term c*w maps to +-c * (w*p) with the sign fixed by the product phase.
+    term c*w maps to +-c * (w*p).
     """
-    if h.n_qubits != p.n_qubits:
-        raise DimensionError("operator/word qubit mismatch")
-    px, pz = np.uint64(p.x_mask), np.uint64(p.z_mask)
-    xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
-    anti = ((_popcount_u64(xs & pz) + _popcount_u64(zs & px)) & 1).astype(bool)
+    anti = anticommuting(h, p)
     if not anti.any():
         return Operator.zero(h.n_qubits)
-    xa, za, ca = xs[anti], zs[anti], cs[anti]
-    xn, zn = xa ^ px, za ^ pz
-    k = (
-        _popcount_u64(xa & za)
-        + int(p.x_mask & p.z_mask).bit_count()
-        - _popcount_u64(xn & zn)
-        + 2 * _popcount_u64(za & px)
-    ) % 4
-    # k is odd for anticommuting pairs, so -i * i**k is +-1
-    sign = np.where(k == 1, 1.0, -1.0)
-    return Operator._from_raw(h.n_qubits, xn, zn, ca * sign)
+    terms = commutator_terms(h.x_masks[anti], h.z_masks[anti], h.coefficients[anti], p)
+    return Operator._from_raw(h.n_qubits, *terms)
 
 
 def conjugate_by_word(h: Operator, p: PauliWord) -> Operator:
     """p*h*p: same word set as h, sign flipped on terms anticommuting with p."""
-    if h.n_qubits != p.n_qubits:
-        raise DimensionError("operator/word qubit mismatch")
-    px, pz = np.uint64(p.x_mask), np.uint64(p.z_mask)
-    xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
-    anti = (_popcount_u64(xs & pz) + _popcount_u64(zs & px)) & 1
-    return Operator._from_canonical(h.n_qubits, xs, zs, cs * (1.0 - 2.0 * anti))
+    anti = anticommuting(h, p)
+    return Operator._from_canonical(h.n_qubits, h.x_masks, h.z_masks, h.coefficients * (1.0 - 2.0 * anti))
 
 
 def frobenius_norm(h: Operator) -> float:
@@ -388,6 +414,8 @@ def read_operator(stream: TextIO) -> Operator:
             coeff = float(parts[0])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad coefficient {parts[0]!r}") from exc
+        if not math.isfinite(coeff):
+            raise ParseError(f"line {lineno}: non-finite coefficient {parts[0]!r}")
         label = parts[1]
         if n is None:
             n = len(label)

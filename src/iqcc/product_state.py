@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .pauli import DimensionError, Operator, PauliWord
+from .pauli import DimensionError, Operator, PauliWord, parity_signs
 
 logger = logging.getLogger(__name__)
 
@@ -103,11 +103,16 @@ def expect_word(s: BlochState, w: PauliWord) -> float:
     return val
 
 
-def _letter_masks(h: Operator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    shifts = np.arange(n, dtype=np.uint64)
+def _factors(s: BlochState, h: Operator):
+    """f[t, j], the expectation of term t's letter on qubit j, with the letter
+    masks and the sines and cosines of theta and phi that its derivatives need."""
+    shifts = np.arange(h.n_qubits, dtype=np.uint64)
     bx = ((h.x_masks[:, None] >> shifts) & np.uint64(1)).astype(bool)
     bz = ((h.z_masks[:, None] >> shifts) & np.uint64(1)).astype(bool)
-    return bx, bz
+    st, ct = np.sin(s.theta), np.cos(s.theta)
+    sp, cp = np.sin(s.phi), np.cos(s.phi)
+    f = np.where(bx & bz, st * sp, np.where(bx, st * cp, np.where(bz, ct, 1.0)))
+    return f, bx, bz, (st, ct, sp, cp)
 
 
 def energy(s: BlochState, h: Operator) -> float:
@@ -115,11 +120,8 @@ def energy(s: BlochState, h: Operator) -> float:
     _check_state(s, h.n_qubits)
     if h.is_empty:
         return 0.0
-    bx, bz = _letter_masks(h, h.n_qubits)
-    st, ct = np.sin(s.theta), np.cos(s.theta)
-    sp, cp = np.sin(s.phi), np.cos(s.phi)
-    factors = np.where(bx & bz, st * sp, np.where(bx, st * cp, np.where(bz, ct, 1.0)))
-    return float(h.coefficients @ factors.prod(axis=1))
+    f = _factors(s, h)[0]
+    return float(h.coefficients @ f.prod(axis=1))
 
 
 def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, np.ndarray]:
@@ -128,10 +130,7 @@ def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, 
     n = h.n_qubits
     if h.is_empty:
         return 0.0, np.zeros(n), np.zeros(n)
-    bx, bz = _letter_masks(h, n)
-    st, ct = np.sin(s.theta), np.cos(s.theta)
-    sp, cp = np.sin(s.phi), np.cos(s.phi)
-    f = np.where(bx & bz, st * sp, np.where(bx, st * cp, np.where(bz, ct, 1.0)))
+    f, bx, bz, (st, ct, sp, cp) = _factors(s, h)
     df_dth = np.where(bx & bz, ct * sp, np.where(bx, ct * cp, np.where(bz, -st, 0.0)))
     df_dph = np.where(bx & bz, st * cp, np.where(bx, -st * sp, 0.0))
 
@@ -210,6 +209,4 @@ def reference_expectation(ref: PurifiedReference, h: Operator) -> float:
     diag = h.x_masks == 0
     if not diag.any():
         return 0.0
-    m = np.uint64(ref.minus_mask)
-    signs = 1.0 - 2.0 * (np.bitwise_count(h.z_masks[diag] & m) & np.uint64(1)).astype(np.float64)
-    return float(h.coefficients[diag] @ signs)
+    return float(h.coefficients[diag] @ parity_signs(h.z_masks[diag], np.uint64(ref.minus_mask)))

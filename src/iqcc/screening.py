@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .pauli import Operator, PauliWord, commutator_half
+from .pauli import Operator, PauliWord, commutator_half, flip_runs, mask_bits
 from .product_state import PurifiedReference, reference_expectation
 
 
@@ -43,16 +43,10 @@ def partition_sectors(h: Operator) -> list[FlipSector]:
     bounded by the term count.
     """
     xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
-    sectors = []
-    start = 0
-    for i in range(1, len(xs) + 1):
-        if i == len(xs) or xs[i] != xs[start]:
-            x = int(xs[start])
-            flips = frozenset(j for j in range(h.n_qubits) if (x >> j) & 1)
-            sub = Operator._from_canonical(h.n_qubits, xs[start:i], zs[start:i], cs[start:i])
-            sectors.append(FlipSector(flips, sub))
-            start = i
-    return sectors
+    return [
+        FlipSector(mask_bits(x), Operator._from_canonical(h.n_qubits, xs[sl], zs[sl], cs[sl]))
+        for x, sl in flip_runs(h)
+    ]
 
 
 def dis_representative(flips: frozenset[int], n_qubits: int) -> PauliWord:
@@ -73,7 +67,8 @@ def sector_gradient(sector: FlipSector, rep: PauliWord, ref: PurifiedReference) 
 
 
 def flip_set(w: PauliWord) -> frozenset[int]:
-    return frozenset(j for j in range(w.n_qubits) if (w.x_mask >> j) & 1)
+    """Qubits where w acts with x or y (the set bits of x_mask)."""
+    return mask_bits(w.x_mask)
 
 
 def _rank_key(word: PauliWord, grad: float):
@@ -107,9 +102,7 @@ def group_members(group: GradientGroup, n_qubits: int) -> Iterator[PauliWord]:
     """
     flips = sorted(group.flips)
     others = [j for j in range(n_qubits) if j not in group.flips]
-    x = 0
-    for j in flips:
-        x |= 1 << j
+    x = group.representative.x_mask
     for zpat in range(1 << len(others)):
         z_out = 0
         for i, j in enumerate(others):
@@ -128,9 +121,7 @@ def group_members(group: GradientGroup, n_qubits: int) -> Iterator[PauliWord]:
 def random_group_member(group: GradientGroup, n_qubits: int, rng: np.random.Generator) -> PauliWord:
     """Uniform draw from the group without enumerating it."""
     flips = sorted(group.flips)
-    x = z = 0
-    for j in flips:
-        x |= 1 << j
+    z = 0
     for j in range(n_qubits):
         if j not in group.flips and rng.integers(2):
             z |= 1 << j
@@ -142,7 +133,7 @@ def random_group_member(group: GradientGroup, n_qubits: int, rng: np.random.Gene
             count += 1
     if count % 2 == 0:
         z |= 1 << flips[-1]
-    return PauliWord(n_qubits, x, z)
+    return PauliWord(n_qubits, group.representative.x_mask, z)
 
 
 # -- operator pools ------------------------------------------------------------
@@ -202,24 +193,21 @@ def fermionic_sd_pool() -> OperatorPool:
 def pool_gradients(
     h: Operator, ref: PurifiedReference, pool: OperatorPool, top: int
 ) -> list[tuple[PauliWord, float]]:
-    """Top-k pool members ranked by |gradient| against the full Hamiltonian.
+    """Top-k members of a fixed pool ranked by |gradient| against the full Hamiltonian.
 
-    For the screening pool this delegates to build_dis; for fixed pools each
-    member is scored against the matching flip sector (terms with any other
-    flip set cannot contribute on a z-collapsed reference).
+    Each member is scored against the matching flip sector (terms with any
+    other flip set cannot contribute on a z-collapsed reference).  The
+    screening pool has no fixed members; its ranking is build_dis.
     """
     if top < 1:
         raise ValueError("top must be >= 1")
-    if pool.kind == "dis":
-        groups = build_dis(h, ref)
-        return [(g.representative, g.gradient_magnitude) for g in groups[:top]]
     sectors = {s.flips: s for s in partition_sectors(h)}
     ranked = []
     for w in pool.words(h.n_qubits):
         sector = sectors.get(flip_set(w))
         grad = 0.0
         if sector is not None and sector.flips:
-            grad = abs(reference_expectation(ref, commutator_half(sector.terms, w)))
+            grad = sector_gradient(sector, w, ref)
         ranked.append((w, grad))
     ranked.sort(key=lambda entry: _rank_key(*entry))
     return ranked[:top]

@@ -162,3 +162,19 @@ def test_bad_operator_file_is_user_error(tmp_path, capsys):
     op.write_text("not an operator\n")
     assert main(["exact", str(op)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, command, text, line",
+    [
+        ("nan.op", "exact", "1.0 ZI\nnan ZZ\n", 2),
+        ("inf.op", "exact", "# header\ninf ZZ\n1.0 IZ\n", 2),
+        ("nan_core.fcidump", "map", FIXTURE.read_text().replace("0.713776 0 0 0 0", "nan 0 0 0 0"), 9),
+        ("inf_one.fcidump", "map", FIXTURE.read_text().replace("-1.252477 1 1 0 0", "inf 1 1 0 0"), 7),
+    ],
+)
+def test_non_finite_input_is_user_error(tmp_path, capsys, name, command, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["--outdir", str(tmp_path), command, str(path)]) == 1
+    assert f"line {line}: non-finite" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from iqcc import exact
 from iqcc.exact import (
     BudgetError,
     apply_operator,
@@ -50,6 +51,14 @@ def test_apply_operator_random_dense(rng):
         h = random_operator(rng, 3, 8)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert np.allclose(apply_operator(h, v), dense_op(h) @ v, atol=1e-12)
+
+
+def test_uncached_matvec_matches_cached(rng, monkeypatch):
+    h = random_operator(rng, 5, 30)
+    v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    cached = exact.make_matvec(h)(v)
+    monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", 0)
+    assert np.array_equal(exact.make_matvec(h)(v), cached)
 
 
 def test_dense_matrix_matches_kron_oracle(rng):

@@ -13,7 +13,6 @@ from iqcc.pauli import (
     commutator_half,
     commutes,
     conjugate_by_word,
-    flip_indices,
     frobenius_norm,
     multiply,
     phase_value,
@@ -151,12 +150,6 @@ def test_y_parity():
     assert y_parity(PauliWord.from_label("II")) == 0
 
 
-def test_flip_indices():
-    assert flip_indices(PauliWord.from_label("XIYZ")) == frozenset({0, 2})
-    assert flip_indices(PauliWord.from_label("ZZ")) == frozenset()
-    assert flip_indices(PauliWord.from_label("III")) == frozenset()
-
-
 def test_operator_merges_duplicates():
     w = PauliWord.from_label("XZ")
     h = Operator(2, [(w, 0.5), (w, 0.25)])
@@ -184,6 +177,12 @@ def test_operator_iteration_order_is_lexicographic():
 def test_operator_rejects_mixed_sizes():
     with pytest.raises(DimensionError):
         Operator(2, [(PauliWord.from_label("X"), 1.0)])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_operator_rejects_non_finite_coefficients(value):
+    with pytest.raises(ValueError, match="finite"):
+        Operator.from_labels({"ZZ": value, "XI": 1.0})
 
 
 def test_text_format_roundtrip(rng):

@@ -32,6 +32,12 @@ def _dense_gradient(h: Operator, p: PauliWord, bits: tuple[int, ...]) -> float:
     return abs(complex(v.conj() @ comm @ v))
 
 
+def test_flip_set():
+    assert flip_set(PauliWord.from_label("XIYZ")) == frozenset({0, 2})
+    assert flip_set(PauliWord.from_label("ZZ")) == frozenset()
+    assert flip_set(PauliWord.from_label("III")) == frozenset()
+
+
 def test_partition_by_flip_sets():
     h = Operator.from_labels({"ZI": 1.0, "XX": 0.5, "YY": -0.3})
     sectors = partition_sectors(h)
