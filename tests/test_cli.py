@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from iqcc.cli import main
@@ -59,6 +60,17 @@ def test_exact_two_qubit_sum(tmp_path, capsys):
     op.write_text("1.0 ZI\n1.0 IZ\n")
     assert main(["exact", str(op)]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(-2.0)
+
+
+def test_exact_iterative_one_qubit_imaginary_term(tmp_path, capsys):
+    # too small for ARPACK's complex driver; solved dense instead
+    op = tmp_path / "zy.op"
+    op.write_text("2.0 Z\n0.7 Y\n")
+    assert main(["exact", str(op), "--mode", "dense"]) == 0
+    dense = capsys.readouterr().out
+    assert main(["exact", str(op), "--mode", "iterative"]) == 0
+    assert capsys.readouterr().out == dense
+    assert float(dense) == pytest.approx(-np.hypot(2.0, 0.7))
 
 
 def test_screen_diagonal_operator_empty_table(tmp_path, capsys):

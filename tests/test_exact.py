@@ -1,7 +1,10 @@
 """Statevector engine and exact solvers against dense Kronecker oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from iqcc import exact
 from iqcc.exact import (
@@ -14,7 +17,22 @@ from iqcc.exact import (
 )
 from iqcc.pauli import Operator, PauliWord
 
-from conftest import dense_op, dense_word, random_operator, random_word
+from conftest import (
+    dense_op,
+    dense_word,
+    random_odd_y_word,
+    random_operator,
+    random_real_operator,
+    random_word,
+)
+
+
+def _operator(rng, n: int, odd_y: bool) -> Operator:
+    """Random real operator, plus one odd-y (imaginary) term when odd_y."""
+    h = random_real_operator(rng, n, 3 * n + 2)
+    if odd_y:
+        h = h + Operator(n, [(random_odd_y_word(rng, n), 0.7)])
+    return h
 
 
 def test_apply_word_identity(rng):
@@ -47,24 +65,30 @@ def test_apply_word_norm_preserving(rng):
 
 
 def test_apply_operator_random_dense(rng):
-    for _ in range(25):
-        h = random_operator(rng, 3, 8)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.allclose(apply_operator(h, v), dense_op(h) @ v, atol=1e-12)
+    # a real (float64) operator must keep the imaginary part of a complex state
+    for make in (random_operator, random_real_operator):
+        for _ in range(25):
+            h = make(rng, 3, 8)
+            v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            assert np.allclose(apply_operator(h, v), dense_op(h) @ v, atol=1e-12)
 
 
 def test_uncached_matvec_matches_cached(rng, monkeypatch):
-    h = random_operator(rng, 5, 30)
+    ops = [random_operator(rng, 5, 30), random_real_operator(rng, 5, 30)]
     v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    cached = exact.make_matvec(h)(v)
+    cached = [exact.make_matvec(h)(v) for h in ops]
     monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", 0)
-    assert np.array_equal(exact.make_matvec(h)(v), cached)
+    for h, out in zip(ops, cached):
+        assert np.array_equal(exact.make_matvec(h)(v), out)
 
 
 def test_dense_matrix_matches_kron_oracle(rng):
-    for _ in range(20):
-        h = random_operator(rng, 4, 10)
-        assert np.allclose(dense_matrix(h), dense_op(h), atol=1e-12)
+    for odd_y, dtype in ((False, np.float64), (True, np.complex128)):
+        for _ in range(20):
+            h = _operator(rng, 4, odd_y)
+            mat = dense_matrix(h)
+            assert mat.dtype == dtype
+            assert np.allclose(mat, dense_op(h), atol=1e-12)
 
 
 def test_ground_state_diagonal():
@@ -82,12 +106,36 @@ def test_ground_state_degenerate_residual():
 
 
 def test_ground_state_dense_vs_iterative(rng):
-    for _ in range(5):
-        h = random_operator(rng, 6, 25)
-        ed, _ = ground_state(h, mode="dense")
-        ei, vi = ground_state(h, mode="iterative")
-        assert abs(ed - ei) < 1e-9
-        assert np.linalg.norm(apply_operator(h, vi) - ei * vi) < 1e-9
+    for n, (odd_y, dtype) in itertools.product((1, 2, 6), ((False, np.float64), (True, np.complex128))):
+        for _ in range(5):
+            h = _operator(rng, n, odd_y)
+            ed, vd = ground_state(h, mode="dense")
+            ei, vi = ground_state(h, mode="iterative")
+            assert vd.dtype == vi.dtype == dtype
+            assert abs(ed - ei) < 1e-9
+            assert np.linalg.norm(apply_operator(h, vi) - ei * vi) < 1e-9
+
+
+def test_ground_state_rejects_a_bad_eigenpair(rng, monkeypatch):
+    h = random_real_operator(rng, 4, 12)
+    arpack = exact.eigsh
+
+    def perturbed(*args, **kwargs):
+        evals, evecs = arpack(*args, **kwargs)
+        return evals + 1e-6, evecs
+
+    monkeypatch.setattr(exact, "eigsh", perturbed)
+    with pytest.raises(ArithmeticError, match="residual"):
+        ground_state(h, mode="iterative")
+
+
+def test_ground_state_stall_is_arithmetic_error(rng, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((16, 0)))
+
+    monkeypatch.setattr(exact, "eigsh", stalled)
+    with pytest.raises(ArithmeticError, match="converge"):
+        ground_state(random_real_operator(rng, 4, 12), mode="iterative")
 
 
 def test_ground_state_budget_refusal():
