@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,28 +40,46 @@ logger = logging.getLogger(__name__)
 _POOLS = {"dis": dis_pool, "two-qubit": two_qubit_pauli_pool, "fermionic-sd": fermionic_sd_pool}
 
 
-@dataclass
-class RunManifest:
-    """Optional JSON defaults for the run subcommand; explicit flags win."""
+# run parameters a manifest may set: JSON key -> (run flag attribute, accepted types)
+_RUN_KEYS = {
+    "n_g": ("ng", (int,)),
+    "n_steps": ("steps", (int,)),
+    "pool": ("pool", (str,)),
+    "grad_threshold": ("grad_threshold", (int, float)),
+    "energy_threshold": ("energy_threshold", (int, float, type(None))),
+    "epsilon": ("epsilon", (int, float, type(None))),
+    "mu": ("mu", (int, float)),
+    "n_random_guesses": ("guesses", (int,)),
+    "rng_seed": ("seed", (int,)),
+    "drop_first": ("drop_first", (int,)),
+}
 
-    values: dict
 
-    @classmethod
-    def load(cls, path: str | None) -> "RunManifest":
-        if path is None:
-            return cls({})
-        with open(path) as fh:
+def _run_settings(args) -> dict:
+    """Run parameters set by the manifest or a flag; explicit flags win.
+
+    Keys set by neither are left out, so they keep the defaults of
+    `IqccConfig` and `extrapolate`.  A manifest `null` disables `epsilon` or
+    `energy_threshold`.
+    """
+    settings = {}
+    if args.manifest is not None:
+        with open(args.manifest) as fh:
             values = json.load(fh)
         if not isinstance(values, dict):
-            raise ParseError(f"manifest {path} must contain a JSON object")
-        return cls(values)
-
-    def resolve(self, flag_value, key: str, default):
-        if flag_value is not None:
-            return flag_value
-        if key in self.values:
-            return self.values[key]
-        return default
+            raise ParseError(f"manifest {args.manifest} must contain a JSON object")
+        for key, value in values.items():
+            if key not in _RUN_KEYS:
+                raise ParseError(f"manifest {args.manifest}: unknown key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, _RUN_KEYS[key][1]):
+                raise ParseError(f"manifest {args.manifest}: wrong type for {key!r}: {value!r}")
+            if key == "pool" and value not in _POOLS:
+                raise ParseError(f"manifest {args.manifest}: unknown pool {value!r} for 'pool'")
+            settings[key] = value
+    for key, (flag, _) in _RUN_KEYS.items():
+        if getattr(args, flag) is not None:
+            settings[key] = getattr(args, flag)
+    return settings
 
 
 def _outdir(args) -> Path:
@@ -135,23 +152,13 @@ def cmd_map(args) -> int:
 
 
 def cmd_run(args) -> int:
-    manifest = RunManifest.load(args.manifest)
+    settings = _run_settings(args)
     h = _load_operator(args.operator)
 
-    pool_name = manifest.resolve(args.pool, "pool", "dis")
-    epsilon = manifest.resolve(args.epsilon, "epsilon", None)
-    mu = manifest.resolve(args.mu, "mu", 0.0)
-    config = IqccConfig(
-        n_g=manifest.resolve(args.ng, "n_g", 1),
-        n_steps=manifest.resolve(args.steps, "n_steps", 50),
-        pool=_POOLS[pool_name](),
-        grad_threshold=manifest.resolve(args.grad_threshold, "grad_threshold", 1e-7),
-        energy_threshold=manifest.resolve(args.energy_threshold, "energy_threshold", 1e-8),
-        epsilon=epsilon,
-        mu=mu,
-        n_random_guesses=manifest.resolve(args.guesses, "n_random_guesses", 10),
-        rng_seed=manifest.resolve(args.seed, "rng_seed", 0),
-    )
+    fit_options = {"drop_first": settings.pop("drop_first")} if "drop_first" in settings else {}
+    if "pool" in settings:
+        settings["pool"] = _POOLS[settings["pool"]]()
+    config = IqccConfig(**settings)
     penalty = None
     if config.mu > 0.0:
         if not args.s2:
@@ -183,9 +190,8 @@ def cmd_run(args) -> int:
     if e_exact is not None:
         summary.append(f"e_exact={_fmt(e_exact)}")
         summary.append(f"final_error={_fmt(records[-1].energy - e_exact)}")
-    drop_first = manifest.resolve(args.drop_first, "drop_first", 10)
     try:
-        fit = extrapolate(records, drop_first=drop_first)
+        fit = extrapolate(records, **fit_options)
         summary.append(
             f"extrapolation: estimate={_fmt(fit.estimate)} slope={_fmt(fit.a_prime)}"
             f" intercept={_fmt(fit.b_prime)} window={fit.window[0]}..{fit.window[1]}"

@@ -33,8 +33,8 @@ def compress(h: Operator, epsilon: float) -> tuple[Operator, CompressionReport]:
     Ties at the cutoff magnitude are all retained so the result does not
     depend on the internal term order.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     m = len(h)
     if m == 0:
         return h, CompressionReport(epsilon, 0, 0, 0.0)

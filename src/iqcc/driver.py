@@ -47,14 +47,14 @@ class IqccConfig:
     def __post_init__(self) -> None:
         if self.n_g < 1 or self.n_steps < 1 or self.n_random_guesses < 1:
             raise ValueError("n_g, n_steps and n_random_guesses must be >= 1")
-        if self.grad_threshold <= 0.0:
-            raise ValueError("grad_threshold must be positive")
-        if self.energy_threshold is not None and self.energy_threshold <= 0.0:
-            raise ValueError("energy_threshold must be positive when enabled")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive when enabled")
-        if self.mu < 0.0:
-            raise ValueError("mu must be non-negative")
+        if not 0.0 < self.grad_threshold < math.inf:
+            raise ValueError("grad_threshold must be finite and positive")
+        if self.energy_threshold is not None and not 0.0 < self.energy_threshold < math.inf:
+            raise ValueError("energy_threshold must be finite and positive when enabled")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive when enabled")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError("mu must be finite and non-negative")
 
 
 @dataclass
@@ -213,33 +213,28 @@ def iqcc_run(h: Operator, config: IqccConfig, penalty: Operator | None = None) -
             break
         taus, new_state, new_e = optimize_step(current, generators, state, config, rng)
         improvement = e - new_e
-
-        if config.energy_threshold is not None and improvement < config.energy_threshold:
-            records.append(
-                IterationRecord(
-                    k, new_e, list(generators), [float(t) for t in taus], len(current), len(current),
-                    top_grad, time.perf_counter() - t0,
-                )
-            )
-            logger.info("iteration %d: improvement %.3g below threshold, stopping", k, improvement)
-            state, e = new_state, new_e
-            break
-
-        steps = [DressingStep(p, t) for p, t in zip(generators, taus)]
-        dressed = dress_sequence(current, steps)
-        terms_before = len(dressed)
-        if config.epsilon is not None:
-            current, report = compress(dressed, config.epsilon)
-            terms_after = report.terms_after
+        stop = config.energy_threshold is not None and improvement < config.energy_threshold
+        if stop:
+            terms_before = terms_after = len(current)
         else:
-            current, terms_after = dressed, terms_before
-        state, e = new_state, new_e
+            steps = [DressingStep(p, t) for p, t in zip(generators, taus)]
+            dressed = dress_sequence(current, steps)
+            terms_before = len(dressed)
+            if config.epsilon is not None:
+                current, report = compress(dressed, config.epsilon)
+                terms_after = report.terms_after
+            else:
+                current, terms_after = dressed, terms_before
         records.append(
             IterationRecord(
-                k, e, list(generators), [float(t) for t in taus], terms_before, terms_after,
+                k, new_e, list(generators), [float(t) for t in taus], terms_before, terms_after,
                 top_grad, time.perf_counter() - t0,
             )
         )
+        if stop:
+            logger.info("iteration %d: improvement %.3g below threshold, stopping", k, improvement)
+            break
+        state, e = new_state, new_e
         logger.info(
             "iteration %d: E=%.12f ngen=%d top_grad=%.3g terms=%d->%d",
             k, e, len(generators), top_grad, terms_before, terms_after,

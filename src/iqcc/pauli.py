@@ -86,11 +86,6 @@ class PauliWord:
         return self.x_mask == 0 and self.z_mask == 0
 
     @property
-    def support(self) -> tuple[int, ...]:
-        both = self.x_mask | self.z_mask
-        return tuple(j for j in range(self.n_qubits) if (both >> j) & 1)
-
-    @property
     def weight(self) -> int:
         return (self.x_mask | self.z_mask).bit_count()
 
@@ -266,9 +261,6 @@ class Operator:
         for x, z, c in zip(self._xs, self._zs, self._cs):
             yield PauliWord(n, int(x), int(z)), float(c)
 
-    def terms(self) -> Iterator[tuple[PauliWord, float]]:
-        return iter(self)
-
     def coefficient(self, w: PauliWord) -> float:
         """Coefficient of word w (0.0 if absent)."""
         if w.n_qubits != self.n_qubits:
@@ -278,12 +270,6 @@ class Operator:
             if self._zs[i] == w.z_mask:
                 return float(self._cs[i])
             i += 1
-        return 0.0
-
-    @property
-    def identity_coefficient(self) -> float:
-        if len(self._xs) and self._xs[0] == 0 and self._zs[0] == 0:
-            return float(self._cs[0])
         return 0.0
 
     # -- arithmetic ----------------------------------------------------------

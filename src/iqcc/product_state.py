@@ -89,30 +89,26 @@ def _check_state(s: BlochState, n_qubits: int) -> None:
 
 def expect_word(s: BlochState, w: PauliWord) -> float:
     """Product over qubits of the single-qubit expectation (1 for identity)."""
-    _check_state(s, w.n_qubits)
-    val = 1.0
-    for j in w.support:
-        th, ph = s.theta[j], s.phi[j]
-        letter = w.letter(j)
-        if letter == "X":
-            val *= math.sin(th) * math.cos(ph)
-        elif letter == "Y":
-            val *= math.sin(th) * math.sin(ph)
-        else:
-            val *= math.cos(th)
-    return val
+    return energy(s, Operator(w.n_qubits, [(w, 1.0)]))
 
 
-def _factors(s: BlochState, h: Operator):
-    """f[t, j], the expectation of term t's letter on qubit j, with the letter
-    masks and the sines and cosines of theta and phi that its derivatives need."""
+def _letter_codes(h: Operator) -> np.ndarray:
+    """[terms x qubits] column 4j + x + 2z of term t's letter on qubit j in the
+    rows of `_bloch_tables` (letter code 0 = I, 1 = x, 2 = z, 3 = y)."""
     shifts = np.arange(h.n_qubits, dtype=np.uint64)
-    bx = ((h.x_masks[:, None] >> shifts) & np.uint64(1)).astype(bool)
-    bz = ((h.z_masks[:, None] >> shifts) & np.uint64(1)).astype(bool)
+    x = (h.x_masks[:, None] >> shifts) & np.uint64(1)
+    z = (h.z_masks[:, None] >> shifts) & np.uint64(1)
+    return (x + 2 * z + 4 * shifts).astype(np.intp)
+
+
+def _bloch_tables(s: BlochState) -> np.ndarray:
+    """Rows f, df/dtheta and df/dphi of the single-qubit expectation f; column
+    4j + c holds qubit j's value for letter code c (I, x, z, y)."""
     st, ct = np.sin(s.theta), np.cos(s.theta)
     sp, cp = np.sin(s.phi), np.cos(s.phi)
-    f = np.where(bx & bz, st * sp, np.where(bx, st * cp, np.where(bz, ct, 1.0)))
-    return f, bx, bz, (st, ct, sp, cp)
+    one, zero = np.ones_like(st), np.zeros_like(st)
+    rows = [[one, st * cp, ct, st * sp], [zero, ct * cp, -st, ct * sp], [zero, -st * sp, zero, st * cp]]
+    return np.array(rows).transpose(0, 2, 1).reshape(3, -1)
 
 
 def energy(s: BlochState, h: Operator) -> float:
@@ -120,8 +116,7 @@ def energy(s: BlochState, h: Operator) -> float:
     _check_state(s, h.n_qubits)
     if h.is_empty:
         return 0.0
-    f = _factors(s, h)[0]
-    return float(h.coefficients @ f.prod(axis=1))
+    return float(h.coefficients @ _bloch_tables(s)[0][_letter_codes(h)].prod(axis=1))
 
 
 def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, np.ndarray]:
@@ -130,29 +125,27 @@ def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, 
     n = h.n_qubits
     if h.is_empty:
         return 0.0, np.zeros(n), np.zeros(n)
-    f, bx, bz, (st, ct, sp, cp) = _factors(s, h)
-    df_dth = np.where(bx & bz, ct * sp, np.where(bx, ct * cp, np.where(bz, -st, 0.0)))
-    df_dph = np.where(bx & bz, st * cp, np.where(bx, -st * sp, 0.0))
+    f_table, dth_table, dph_table = _bloch_tables(s)
+    codes = _letter_codes(h)
+    f = f_table[codes]
 
     prod = f.prod(axis=1)
     cs = h.coefficients
     e = float(cs @ prod)
 
-    # product-over-others, handling exact zeros among the factors
-    zero = f == 0.0
-    nz = zero.sum(axis=1)
+    # product over the other factors; a term with two or more zero factors
+    # has prod == 0, so dividing already gives it zero partials.  Subnormal
+    # factors count as zero: their product keeps too few bits to divide by.
+    zero = np.abs(f) < np.finfo(np.float64).tiny
     denom = np.where(zero, 1.0, f)
     partial = prod[:, None] / denom
-    one_zero = nz == 1
+    one_zero = zero.sum(axis=1) == 1
     if one_zero.any():
         rest = denom[one_zero].prod(axis=1)
         partial[one_zero] = np.where(zero[one_zero], rest[:, None], 0.0)
-    many_zero = nz >= 2
-    if many_zero.any():
-        partial[many_zero] = 0.0
 
-    g_theta = np.einsum("t,tj,tj->j", cs, partial, df_dth)
-    g_phi = np.einsum("t,tj,tj->j", cs, partial, df_dph)
+    g_theta = np.einsum("t,tj,tj->j", cs, partial, dth_table[codes])
+    g_phi = np.einsum("t,tj,tj->j", cs, partial, dph_table[codes])
     return e, g_theta, g_phi
 
 

@@ -1,12 +1,15 @@
 """End-to-end command-line behavior on the bundled integral fixture."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from iqcc import cli
 from iqcc.cli import main
+from iqcc.driver import IqccConfig
 from iqcc.pauli import read_operator
 
 FIXTURE = Path(__file__).parent / "fixtures" / "h2_sto3g.fcidump"
@@ -104,6 +107,29 @@ def test_compress_huge_epsilon_keeps_identity(tmp_path, capsys):
     assert [w.to_label() for w, _ in kept] == ["II"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_compress_rejects_non_finite_epsilon(tmp_path, capsys, value):
+    op = tmp_path / "small.op"
+    op.write_text("0.5 II\n0.1 XX\n-0.05 ZZ\n")
+    assert main(["--outdir", str(tmp_path), "compress", str(op), "--epsilon", value]) == 1
+    assert "epsilon must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "small.compressed.op").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--epsilon", "nan"), ("--epsilon", "inf"), ("--grad-threshold", "nan"),
+     ("--energy-threshold", "inf"), ("--mu", "nan"), ("--mu", "inf")],
+)
+def test_run_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
+    main(["--outdir", str(tmp_path), "map", str(FIXTURE), "-o", "h2.op"])
+    capsys.readouterr()
+    rc = main(["--outdir", str(tmp_path), "run", str(tmp_path / "h2.op"), flag, value, "-o", "bad"])
+    assert rc == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "bad.log.jsonl").exists()
+
+
 def test_run_pipeline_and_logs(tmp_path, capsys):
     main(["--outdir", str(tmp_path), "map", str(FIXTURE), "-o", "h2.op"])
     rc = main([
@@ -145,6 +171,57 @@ def test_run_manifest_flags_win(tmp_path):
     assert rc == 0
     lines = _read(tmp_path / "mrun.log.jsonl").strip().splitlines()
     assert len(lines) <= 2  # steps flag (1) overrode the manifest (2)
+
+
+@pytest.mark.parametrize(
+    "manifest, key",
+    [({"n_gs": 3}, "'n_gs'"), ({"n_g": "2"}, "'n_g'"), ({"n_steps": True}, "'n_steps'"),
+     ({"mu": None}, "'mu'"), ({"pool": "nope"}, "'pool'"), ({"epsilon": "1e-3"}, "'epsilon'")],
+)
+def test_run_manifest_rejects_bad_entries(tmp_path, capsys, manifest, key):
+    main(["--outdir", str(tmp_path), "map", str(FIXTURE), "-o", "h2.op"])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = main(["--outdir", str(tmp_path), "run", str(tmp_path / "h2.op"), "--manifest", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest") and key in err
+
+
+def test_run_manifest_defaults_and_null(tmp_path, monkeypatch):
+    main(["--outdir", str(tmp_path), "map", str(FIXTURE), "-o", "h2.op"])
+    op = str(tmp_path / "h2.op")
+    configs = []
+    run = cli.iqcc_run
+    monkeypatch.setattr(cli, "iqcc_run", lambda h, config, penalty=None: configs.append(config) or run(h, config, penalty))
+    manifests = {
+        "empty": {},
+        "explicit": {"n_steps": 3, "n_random_guesses": 2, "rng_seed": 0, "pool": "dis", "drop_first": 10},
+        "null": {"epsilon": None, "energy_threshold": None, "n_steps": 3, "n_random_guesses": 2},
+    }
+    for name, values in manifests.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(values))
+    args = ["--outdir", str(tmp_path), "run", op, "--steps", "3", "--guesses", "2"]
+    assert main(args + ["-o", "plain"]) == 0
+    assert main(args + ["--manifest", str(tmp_path / "empty.json"), "-o", "empty"]) == 0
+    assert main(["--outdir", str(tmp_path), "run", op, "--manifest", str(tmp_path / "explicit.json"),
+                 "-o", "explicit"]) == 0
+    null = ["--outdir", str(tmp_path), "run", op, "--manifest", str(tmp_path / "null.json")]
+    assert main(null + ["-o", "null"]) == 0
+    assert main(null + ["--epsilon", "1e-3", "-o", "flag"]) == 0
+
+    # keys set by neither manifest nor flag keep the IqccConfig defaults
+    default = IqccConfig(n_steps=3, n_random_guesses=2)
+    for config in configs[:3]:
+        assert config.pool.kind == "dis"
+        assert replace(config, pool=default.pool) == default
+    for prefix in ("empty", "explicit"):
+        for suffix in (".log.jsonl", ".table.csv", ".summary.txt"):
+            assert _read(tmp_path / f"{prefix}{suffix}") == _read(tmp_path / f"plain{suffix}")
+    # null disables the energy threshold; a flag still beats the manifest
+    assert (configs[3].energy_threshold, configs[3].epsilon) == (None, None)
+    assert (configs[4].energy_threshold, configs[4].epsilon) == (None, 1e-3)
 
 
 def test_run_with_spin_penalty(tmp_path, capsys):

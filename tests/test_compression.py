@@ -1,5 +1,7 @@
 """Norm-sorted truncation and its eigenvalue-displacement guarantee."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,9 @@ def test_compress_rejects_bad_epsilon(rng):
         compress(h, 0.0)
     with pytest.raises(ValueError):
         compress(h, -1e-3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            compress(h, bad)
 
 
 def test_compress_nothing_to_drop():

@@ -37,6 +37,10 @@ def test_config_validation():
         IqccConfig(energy_threshold=-1e-8)
     with pytest.raises(ValueError):
         IqccConfig(epsilon=0.0)
+    for bad in (math.nan, math.inf):
+        for name in ("grad_threshold", "energy_threshold", "epsilon", "mu"):
+            with pytest.raises(ValueError):
+                IqccConfig(**{name: bad})
     IqccConfig(energy_threshold=None, epsilon=None)  # disabled checks are fine
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqcc.exact import ground_state
 from iqcc.pauli import DimensionError, Operator, PauliWord
@@ -67,6 +69,8 @@ def test_energy_dimension_mismatch():
     s = BlochState(np.zeros(2), np.zeros(2))
     with pytest.raises(DimensionError):
         energy(s, Operator.from_labels({"Z": 1.0}))
+    with pytest.raises(DimensionError):
+        expect_word(s, PauliWord.from_label("Z"))
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -96,6 +100,60 @@ def test_gradient_handles_exact_zero_factors():
     e, gt, gp = energy_and_gradient(s, h)
     assert e == pytest.approx(0.5)
     assert np.all(np.isfinite(gt)) and np.all(np.isfinite(gp))
+
+    # theta_0 = 0 zeroes only the qubit-0 factor of XZ and XX, so d/dtheta_0
+    # is the product over their other factors
+    h = Operator.from_labels({"XZ": 0.8, "XX": -0.6, "ZI": 0.5})
+    theta, phi = np.array([0.0, 0.7]), np.array([0.4, 1.3])
+    _, gt, gp = energy_and_gradient(BlochState(theta, phi), h)
+    assert gt[0] == pytest.approx(math.cos(0.4) * (0.8 * math.cos(0.7) - 0.6 * math.sin(0.7) * math.cos(1.3)))
+    step = 1e-6
+    for j in range(2):
+        d = np.zeros(2)
+        d[j] = step
+        fd_t = (energy(BlochState(theta + d, phi), h) - energy(BlochState(theta - d, phi), h)) / (2 * step)
+        fd_p = (energy(BlochState(theta, phi + d), h) - energy(BlochState(theta, phi - d), h)) / (2 * step)
+        assert gt[j] == pytest.approx(fd_t, abs=1e-8)
+        assert gp[j] == pytest.approx(fd_p, abs=1e-8)
+
+    # a subnormal factor (sin 5e-324) next to a zero one
+    h = Operator.from_labels({"XZX": 1.0, "IZX": 1.0})
+    _, gt, _ = energy_and_gradient(BlochState(np.array([0.0, 1.0, 5e-324]), np.zeros(3)), h)
+    assert gt == pytest.approx([0.0, 0.0, math.cos(1.0)], abs=1e-15)
+
+
+# exact poles make x, y or z factors exactly zero, one or several per term
+ANGLES = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(0.0, 2 * math.pi))
+
+
+@st.composite
+def state_and_operator(draw):
+    n = draw(st.integers(1, 4))
+    theta = np.array(draw(st.lists(ANGLES, min_size=n, max_size=n)))
+    phi = np.array(draw(st.lists(ANGLES, min_size=n, max_size=n)))
+    masks = st.integers(0, (1 << n) - 1)
+    terms = draw(st.lists(st.tuples(masks, masks, st.floats(-2.0, 2.0)), min_size=1, max_size=12))
+    return BlochState(theta, phi), Operator(n, [(PauliWord(n, x, z), c) for x, z, c in terms])
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_and_operator())
+def test_energy_and_gradient_match_statevector_oracle(case):
+    s, h = case
+    n = h.n_qubits
+    e, gt, gp = energy_and_gradient(s, h)
+    assert e == energy(s, h)
+    assert e == pytest.approx(_statevector_expectation(s, h), abs=1e-12)
+    step = 1e-5
+    for j in range(n):
+        d = np.zeros(n)
+        d[j] = step
+        fd_t = _statevector_expectation(BlochState(s.theta + d, s.phi), h)
+        fd_t -= _statevector_expectation(BlochState(s.theta - d, s.phi), h)
+        fd_p = _statevector_expectation(BlochState(s.theta, s.phi + d), h)
+        fd_p -= _statevector_expectation(BlochState(s.theta, s.phi - d), h)
+        assert gt[j] == pytest.approx(fd_t / (2 * step), abs=1e-7)
+        assert gp[j] == pytest.approx(fd_p / (2 * step), abs=1e-7)
 
 
 def test_energy_invariant_under_phi_shift_on_diagonal_qubits(rng):
