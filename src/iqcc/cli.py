@@ -75,10 +75,14 @@ def _run_settings(args) -> dict:
                 raise ParseError(f"manifest {args.manifest}: wrong type for {key!r}: {value!r}")
             if key == "pool" and value not in _POOLS:
                 raise ParseError(f"manifest {args.manifest}: unknown pool {value!r} for 'pool'")
+            if key == "drop_first" and value < 0:
+                raise ParseError(f"manifest {args.manifest}: 'drop_first' must be >= 0, got {value}")
             settings[key] = value
     for key, (flag, _) in _RUN_KEYS.items():
         if getattr(args, flag) is not None:
             settings[key] = getattr(args, flag)
+    if settings.get("drop_first", 0) < 0:
+        raise ValueError(f"drop_first must be >= 0, got {settings['drop_first']}")
     return settings
 
 

@@ -6,6 +6,12 @@ tensors in chemist index order).  Spin-orbitals follow the
 alpha-block-then-beta-block convention: spatial orbital p maps to qubit p
 (alpha) and qubit p + n_spatial (beta).  Both the Jordan-Wigner and the
 parity encodings are implemented; their images have identical spectra.
+
+An encoding is a table of Majorana words, x/z mask arrays of shape [2, n]
+with a_j = (w0_j + i w1_j)/2 and a_j^dagger = (w0_j - i w1_j)/2.  The
+Hamiltonian, the N, Sz and S^2 operators and the excitation words are all
+weighted sums of ladder products, expanded over that table with the
+vectorised word product `pauli.word_products`.
 """
 
 from __future__ import annotations
@@ -14,20 +20,16 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from . import exact
-from .pauli import (
-    DimensionError, Operator, ParseError, PauliWord, anticommuting, mask_product, parity_signs, phase_value,
-)
+from .pauli import DimensionError, Operator, ParseError, PauliWord, anticommuting, parity_signs, word_products
 
 logger = logging.getLogger(__name__)
 
 _REALITY_TOL = 1e-10  # residual imaginary weight allowed in mapped operators
-
-LadderFn = Callable[[int, int, bool], list[tuple[int, int, complex]]]
 
 
 @dataclass
@@ -161,123 +163,126 @@ def write_integrals(data: IntegralData, stream: TextIO) -> None:
 
 
 # -- fermion-to-qubit mappings ---------------------------------------------------
-#
-# Intermediate algebra uses {(x_mask, z_mask): complex coefficient} dicts;
-# the final Hamiltonian must come out real term by term.
 
 
-def _jw_ladder(j: int, n: int, dagger: bool) -> list[tuple[int, int, complex]]:
-    prefix = (1 << j) - 1
-    bit = 1 << j
-    return [(bit, prefix, 0.5), (bit, prefix | bit, -0.5j if dagger else 0.5j)]
+def _jw_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    below = bit - np.uint64(1)
+    return np.stack([bit, bit]), np.stack([below, below | bit])
 
 
-def _parity_ladder(j: int, n: int, dagger: bool) -> list[tuple[int, int, complex]]:
-    cascade = ((1 << n) - 1) ^ ((1 << (j + 1)) - 1)
-    bit = 1 << j
-    z_left = (1 << (j - 1)) if j > 0 else 0
-    return [(cascade | bit, z_left, 0.5), (cascade | bit, bit, -0.5j if dagger else 0.5j)]
+def _parity_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    from_bit = ~(bit - np.uint64(1)) & np.uint64((1 << n) - 1)
+    return np.stack([from_bit, from_bit]), np.stack([bit >> np.uint64(1), bit])
 
 
-_LADDERS: dict[str, LadderFn] = {"jw": _jw_ladder, "parity": _parity_ladder}
+_MAJORANAS = {"jw": _jw_majoranas, "parity": _parity_majoranas}
 
 
-def _terms_product(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, int], complex] = {}
-    for (ax, az), ca in a.items():
-        for (bx, bz), cb in b.items():
-            x, z, k = mask_product(ax, az, bx, bz)
-            out[(x, z)] = out.get((x, z), 0.0) + ca * cb * phase_value(k)
-    return out
+def _ladder_terms(
+    table: tuple[np.ndarray, np.ndarray], orbitals: np.ndarray, daggers: tuple[bool, ...], weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words and complex coefficients of weights[r] * a(orbitals[r, 0]) ... a(orbitals[r, k-1]).
+
+    `daggers[t]` marks factor t as a creator.  Duplicate words within a row
+    are merged exactly (each expanded coefficient is i**e / 2**k); the output
+    is grouped by row in row order, so per-word sums follow the row order.
+    """
+    tx, tz = table
+    m, k = orbitals.shape
+    choice = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1  # [2**k, k]: w0 or w1 of each factor
+    e = (choice * np.where(daggers, 3, 1)).sum(axis=1)  # w1 carries +i, or -i = i**3 for a creator
+    x = np.zeros((m, 1 << k), dtype=np.uint64)
+    z = np.zeros_like(x)
+    for t in range(k):
+        pick = (choice[:, t], orbitals[:, t, None])
+        x, z, dk = word_products(x, z, tx[pick], tz[pick])
+        e = e + dk
+    row = np.repeat(np.arange(m), 1 << k)
+    x, z, e = x.ravel(), z.ravel(), e.ravel() % 4
+    order = np.lexsort((z, x, row))
+    row, x, z, e = row[order], x[order], z[order], e[order]
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    starts = np.flatnonzero(first)
+    re = np.add.reduceat(np.array([1, 0, -1, 0])[e], starts)  # integer sums: exact
+    im = np.add.reduceat(np.array([0, 1, 0, -1])[e], starts)
+    w = weights[row[starts]] * 0.5**k
+    return x[starts], z[starts], w * re + 1j * (w * im)
 
 
-def _accumulate(acc: dict, terms: dict, scale: complex = 1.0) -> None:
-    for key, c in terms.items():
-        acc[key] = acc.get(key, 0.0) + scale * c
+def _realize(n: int, *terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Operator:
+    """Real Operator summing each word's contributions in the order given.
 
-
-def _ladder_chain(ops: list[tuple[int, bool]], n: int, ladder: LadderFn) -> dict:
-    """Product of creation/annihilation operators given as (orbital, dagger)."""
-    result = {(0, 0): 1.0 + 0.0j}
-    for j, dagger in ops:
-        result = _terms_product(result, {(x, z): c for x, z, c in ladder(j, n, dagger)})
-    return result
-
-
-def _realize(acc: dict, n: int) -> Operator:
-    """Convert a complex term dict to a real Operator, checking reality."""
-    worst = max((abs(c.imag) for c in acc.values()), default=0.0)
+    np.add.at adds sequentially (np.add.reduceat would sum pairwise), so each
+    coefficient is rounded as a running sum over the terms in order.
+    """
+    xs, zs, cs = (np.concatenate(a) for a in zip(*terms))
+    order = np.lexsort((zs, xs))  # stable: each word's contributions keep their order
+    xs, zs = xs[order], zs[order]
+    first = np.ones(len(xs), dtype=bool)
+    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    sums = np.zeros(int(first.sum()), dtype=complex)
+    np.add.at(sums, np.cumsum(first) - 1, cs[order])
+    worst = float(np.abs(sums.imag).max(initial=0.0))
     if worst > _REALITY_TOL:
         raise ArithmeticError(f"mapped operator has imaginary weight {worst:g}")
-    return Operator._from_raw(
-        n,
-        np.fromiter((x for x, _ in acc), dtype=np.uint64, count=len(acc)),
-        np.fromiter((z for _, z in acc), dtype=np.uint64, count=len(acc)),
-        np.fromiter((c.real for c in acc.values()), dtype=np.float64, count=len(acc)),
-    )
+    return Operator._from_raw(n, xs[first], zs[first], sums.real)
 
 
-def _map_hamiltonian(data: IntegralData, ladder: LadderFn) -> Operator:
+def _map_hamiltonian(data: IntegralData, mapping: str) -> Operator:
     data.validate()
-    nsp = data.n_spatial
-    n = data.n_so
-    acc: dict[tuple[int, int], complex] = {(0, 0): complex(data.e_core)}
-    spins = (0, nsp)
-    for p in range(nsp):
-        for q in range(nsp):
-            hpq = data.h[p, q]
-            if hpq == 0.0:
-                continue
-            for off in spins:
-                _accumulate(acc, _ladder_chain([(p + off, True), (q + off, False)], n, ladder), hpq)
-    for p in range(nsp):
-        for q in range(nsp):
-            for r in range(nsp):
-                for s in range(nsp):
-                    v = data.g[p, q, r, s]
-                    if v == 0.0:
-                        continue
-                    for so in spins:
-                        for to in spins:
-                            chain = [(p + so, True), (r + to, True), (s + to, False), (q + so, False)]
-                            _accumulate(acc, _ladder_chain(chain, n, ladder), 0.5 * v)
-    return _realize(acc, n)
+    table = _MAJORANAS[mapping](data.n_so)
+    spins = np.array([0, data.n_spatial])
+    pq = np.nonzero(data.h)
+    p, q = (a[:, None] for a in pq)
+    one_body = np.stack([p + spins, q + spins], axis=-1).reshape(-1, 2)
+    pqrs = np.nonzero(data.g)
+    p, q, r, s = (a[:, None] for a in pqrs)
+    so, to = np.repeat(spins, 2), np.tile(spins, 2)
+    two_body = np.stack([p + so, r + to, s + to, q + so], axis=-1).reshape(-1, 4)
+    identity = np.zeros(1, dtype=np.uint64)
+    # rows run in (p, q, spin) and (p, q, r, s, spin, spin) order, which fixes
+    # the order in which each coefficient is summed and so its rounding
+    return _realize(
+        data.n_so,
+        (identity, identity, np.array([complex(data.e_core)])),
+        _ladder_terms(table, one_body, (True, False), np.repeat(data.h[pq], 2)),
+        _ladder_terms(table, two_body, (True, True, False, False), np.repeat(0.5 * data.g[pqrs], 4)),
+    )
 
 
 def jordan_wigner(data: IntegralData) -> Operator:
     """Jordan-Wigner image of the electronic Hamiltonian, one qubit per spin-orbital."""
-    return _map_hamiltonian(data, _jw_ladder)
+    return _map_hamiltonian(data, "jw")
 
 
 def parity_map(data: IntegralData) -> Operator:
     """Parity-encoded image; spectrum identical to the Jordan-Wigner image."""
-    return _map_hamiltonian(data, _parity_ladder)
+    return _map_hamiltonian(data, "parity")
 
 
 def excitation_words(n_so: int) -> list[PauliWord]:
     """Deduplicated Pauli words of all mapped anti-Hermitian single and double
-    excitations over n_so spin-orbitals (Jordan-Wigner image)."""
-    seen: set[tuple[int, int]] = set()
-    ladder = _jw_ladder
+    excitations over n_so spin-orbitals (Jordan-Wigner image).
 
-    def collect(chain: list[tuple[int, bool]]) -> None:
-        acc: dict[tuple[int, int], complex] = {}
-        _accumulate(acc, _ladder_chain(chain, n_so, ladder))
-        reverse = [(j, not d) for j, d in reversed(chain)]
-        _accumulate(acc, _ladder_chain(reverse, n_so, ladder), -1.0)
-        for (x, z), c in acc.items():
-            if abs(c) > 1e-12 and (x, z) != (0, 0):
-                seen.add((x, z))
-
-    for p in range(n_so):
-        for q in range(p + 1, n_so):
-            collect([(p, True), (q, False)])
-    for p in range(n_so):
-        for q in range(p + 1, n_so):
-            for r in range(n_so):
-                for s in range(r + 1, n_so):
-                    if (p, q) < (r, s):
-                        collect([(p, True), (q, True), (s, False), (r, False)])
+    For Hermitian words W, T - T^dagger = sum 2i Im(c_W) W, so the words of an
+    excitation are those of T with a nonzero imaginary coefficient.
+    """
+    table = _jw_majoranas(n_so)
+    p, q = np.triu_indices(n_so, 1)
+    a, b = np.triu_indices(len(p), 1)  # pairs (p, q) < (r, s)
+    singles = _ladder_terms(table, np.stack([p, q], axis=1), (True, False), np.ones(len(p)))
+    doubles = _ladder_terms(
+        table, np.stack([p[a], q[a], q[b], p[b]], axis=1), (True, True, False, False), np.ones(len(a))
+    )
+    seen = {
+        (x, z)
+        for xs, zs, cs in (singles, doubles)
+        for x, z, c in zip(xs.tolist(), zs.tolist(), cs.imag.tolist())
+        if c != 0.0 and (x, z) != (0, 0)
+    }
     return [PauliWord(n_so, x, z) for x, z in sorted(seen)]
 
 
@@ -288,41 +293,30 @@ def build_symmetry_operator(kind: str, n_so: int, mapping: str = "jw") -> Operat
     """Qubit image of the electron-number or total-spin operator.
 
     kind is one of "n", "sz", "s2"; spin-orbital grouping is all alpha
-    first, then all beta.  "s2" is assembled as Sz*Sz + (S+S- + S-S+)/2
-    from the mapped ladder operators.
+    first, then all beta.  "s2" is Sz*Sz + (S+S- + S-S+)/2 with
+    Sz*Sz = sum_ij s_i s_j n_i n_j (s = +-1/2) and the spin flips
+    S+S- = sum_pq a+_p a_p' a+_q' a_q, S-S+ = sum_pq a+_p' a_p a+_q a_q'
+    (p' = p + n_so/2).
     """
     if n_so % 2 != 0 or n_so < 2:
         raise ValueError("n_so must be a positive even spin-orbital count")
-    ladder = _LADDERS[mapping]
+    table = _MAJORANAS[mapping](n_so)
     nsp = n_so // 2
+    j = np.arange(n_so)
+    spin = np.repeat([0.5, -0.5], nsp)
     kind = kind.lower()
-
-    def number_terms(orbitals: list[int]) -> dict:
-        acc: dict[tuple[int, int], complex] = {}
-        for j in orbitals:
-            _accumulate(acc, _ladder_chain([(j, True), (j, False)], n_so, ladder))
-        return acc
-
-    if kind == "n":
-        return _realize(number_terms(list(range(n_so))), n_so)
-
-    sz: dict[tuple[int, int], complex] = {}
-    _accumulate(sz, number_terms(list(range(nsp))), 0.5)
-    _accumulate(sz, number_terms(list(range(nsp, n_so))), -0.5)
-    if kind == "sz":
-        return _realize(sz, n_so)
-
+    if kind in ("n", "sz"):
+        weights = np.ones(n_so) if kind == "n" else spin
+        return _realize(n_so, _ladder_terms(table, np.stack([j, j], axis=1), (True, False), weights))
     if kind == "s2":
-        s_plus: dict[tuple[int, int], complex] = {}
-        s_minus: dict[tuple[int, int], complex] = {}
-        for p in range(nsp):
-            _accumulate(s_plus, _ladder_chain([(p, True), (p + nsp, False)], n_so, ladder))
-            _accumulate(s_minus, _ladder_chain([(p + nsp, True), (p, False)], n_so, ladder))
-        acc = _terms_product(sz, sz)
-        _accumulate(acc, _terms_product(s_plus, s_minus), 0.5)
-        _accumulate(acc, _terms_product(s_minus, s_plus), 0.5)
-        return _realize(acc, n_so)
-
+        i, k = np.repeat(j, n_so), np.tile(j, n_so)
+        p, q = np.repeat(j[:nsp], nsp), np.tile(j[:nsp], nsp)
+        flips = np.concatenate([np.stack([p, p + nsp, q + nsp, q], 1), np.stack([p + nsp, p, q, q + nsp], 1)])
+        return _realize(
+            n_so,
+            _ladder_terms(table, np.stack([i, i, k, k], 1), (True, False) * 2, spin[i] * spin[k]),
+            _ladder_terms(table, flips, (True, False) * 2, np.full(len(flips), 0.5)),
+        )
     raise ValueError(f"unknown symmetry operator kind {kind!r}")
 
 

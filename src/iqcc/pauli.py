@@ -146,6 +146,14 @@ def _popcount_u64(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a).astype(np.int64)
 
 
+def word_products(ax, az, bx, bz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise mask_product on broadcasting uint64 mask arrays: (x, z, k) with
+    a*b = i**k * word(x, z), k an int64 array in 0..3."""
+    x, z = ax ^ bx, az ^ bz
+    k = _popcount_u64(ax & az) + _popcount_u64(bx & bz) - _popcount_u64(x & z) + 2 * _popcount_u64(az & bx)
+    return x, z, k % 4
+
+
 def parity_signs(a: np.ndarray, m) -> np.ndarray:
     """(-1)**popcount(a & m) elementwise, as float64."""
     return 1.0 - 2.0 * (np.bitwise_count(a & m) & 1)
@@ -329,14 +337,7 @@ def commutator_terms(
 
     Each term maps to +-c * (w*p), the sign fixed by the product phase.
     """
-    px, pz = np.uint64(p.x_mask), np.uint64(p.z_mask)
-    xn, zn = xs ^ px, zs ^ pz
-    k = (
-        _popcount_u64(xs & zs)
-        + (p.x_mask & p.z_mask).bit_count()
-        - _popcount_u64(xn & zn)
-        + 2 * _popcount_u64(zs & px)
-    ) % 4
+    xn, zn, k = word_products(xs, zs, np.uint64(p.x_mask), np.uint64(p.z_mask))
     # k is odd for anticommuting pairs, so -i * i**k is +-1
     return xn, zn, cs * np.where(k == 1, 1.0, -1.0)
 

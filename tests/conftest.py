@@ -157,12 +157,22 @@ def apply_chain(ket: int, ops: list[tuple[int, bool]]) -> tuple[int, int] | None
     return ket, sign
 
 
+def fock_matrix(chains: list[tuple[float, list[tuple[int, bool]]]], n_so: int) -> np.ndarray:
+    """Dense Fock-space matrix of sum coeff * chain over (coeff, chain) pairs."""
+    dim = 1 << n_so
+    mat = np.zeros((dim, dim))
+    for ket in range(dim):
+        for coeff, ops in chains:
+            step = apply_chain(ket, ops)
+            if step is not None:
+                bra, sign = step
+                mat[bra, ket] += coeff * sign
+    return mat
+
+
 def determinant_hamiltonian(data: IntegralData) -> np.ndarray:
     """Dense Fock-space matrix of the electronic Hamiltonian from integrals."""
     nsp = data.n_spatial
-    n_so = data.n_so
-    dim = 1 << n_so
-    mat = np.zeros((dim, dim))
     spins = (0, nsp)
     chains: list[tuple[float, list[tuple[int, bool]]]] = []
     for p in range(nsp):
@@ -179,13 +189,7 @@ def determinant_hamiltonian(data: IntegralData) -> np.ndarray:
                 chains.append(
                     (0.5 * v, [(p + so, True), (r + to, True), (s + to, False), (q + so, False)])
                 )
-    for ket in range(dim):
-        for coeff, ops in chains:
-            step = apply_chain(ket, ops)
-            if step is not None:
-                bra, sign = step
-                mat[bra, ket] += coeff * sign
-    return mat + data.e_core * np.eye(dim)
+    return fock_matrix(chains, data.n_so) + data.e_core * np.eye(1 << data.n_so)
 
 
 @pytest.fixture(scope="session")

@@ -119,7 +119,7 @@ def test_compress_rejects_non_finite_epsilon(tmp_path, capsys, value):
 @pytest.mark.parametrize(
     "flag, value",
     [("--epsilon", "nan"), ("--epsilon", "inf"), ("--grad-threshold", "nan"),
-     ("--energy-threshold", "inf"), ("--mu", "nan"), ("--mu", "inf")],
+     ("--energy-threshold", "inf"), ("--mu", "nan"), ("--mu", "inf"), ("--drop-first", "-5")],
 )
 def test_run_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
     main(["--outdir", str(tmp_path), "map", str(FIXTURE), "-o", "h2.op"])
@@ -176,7 +176,8 @@ def test_run_manifest_flags_win(tmp_path):
 @pytest.mark.parametrize(
     "manifest, key",
     [({"n_gs": 3}, "'n_gs'"), ({"n_g": "2"}, "'n_g'"), ({"n_steps": True}, "'n_steps'"),
-     ({"mu": None}, "'mu'"), ({"pool": "nope"}, "'pool'"), ({"epsilon": "1e-3"}, "'epsilon'")],
+     ({"mu": None}, "'mu'"), ({"pool": "nope"}, "'pool'"), ({"epsilon": "1e-3"}, "'epsilon'"),
+     ({"drop_first": -1}, "'drop_first'")],
 )
 def test_run_manifest_rejects_bad_entries(tmp_path, capsys, manifest, key):
     main(["--outdir", str(tmp_path), "map", str(FIXTURE), "-o", "h2.op"])

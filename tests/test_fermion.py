@@ -2,6 +2,7 @@
 stationary-qubit reduction, checked against determinant and dense oracles."""
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from iqcc.fermion import (
 )
 from iqcc.pauli import Operator, ParseError, PauliWord, commutator_half, y_parity
 
-from conftest import dense_op, determinant_hamiltonian, random_integrals
+from conftest import dense_op, dense_word, determinant_hamiltonian, fock_matrix, random_integrals
 
 
 def _h2_like_integrals() -> IntegralData:
@@ -133,6 +134,24 @@ def test_jw_matches_determinant_oracle(rng):
     for _ in range(5):
         data = random_integrals(rng, 2)
         assert np.allclose(dense_op(jordan_wigner(data)), determinant_hamiltonian(data), atol=1e-10)
+
+
+def _parity_basis(mat: np.ndarray) -> np.ndarray:
+    """A Fock-space matrix relabelled from occupations n to parity kets b, b_j = n_0 ^ ... ^ n_j."""
+    n = np.arange(len(mat))
+    b = np.zeros_like(n)
+    for shift in range(len(mat).bit_length() - 1):
+        b ^= n << shift
+    b &= len(mat) - 1
+    out = np.empty_like(mat)
+    out[np.ix_(b, b)] = mat
+    return out
+
+
+def test_parity_matches_determinant_oracle(rng):
+    for nsp in (1, 2, 2, 3):
+        data = random_integrals(rng, nsp)
+        assert np.allclose(dense_op(parity_map(data)), _parity_basis(determinant_hamiltonian(data)), atol=1e-10)
 
 
 def test_mapped_terms_have_even_y_parity(rng):
@@ -258,6 +277,19 @@ def test_number_operator_jw():
     assert n_op.coefficient(PauliWord.from_label("IZ")) == pytest.approx(-0.5)
 
 
+@pytest.mark.parametrize("n_so", [4, 6])
+def test_symmetry_operators_match_fock_matrices(n_so):
+    nsp = n_so // 2
+    spin = [0.5] * nsp + [-0.5] * nsp
+    number = fock_matrix([(1.0, [(j, True), (j, False)]) for j in range(n_so)], n_so)
+    sz = fock_matrix([(spin[j], [(j, True), (j, False)]) for j in range(n_so)], n_so)
+    s_plus = fock_matrix([(1.0, [(p, True), (p + nsp, False)]) for p in range(nsp)], n_so)
+    s2 = sz @ sz + (s_plus @ s_plus.T + s_plus.T @ s_plus) / 2
+    for kind, mat in (("n", number), ("sz", sz), ("s2", s2)):
+        assert np.allclose(dense_op(build_symmetry_operator(kind, n_so, "jw")), mat, atol=1e-12)
+        assert np.allclose(dense_op(build_symmetry_operator(kind, n_so, "parity")), _parity_basis(mat), atol=1e-12)
+
+
 def test_s2_spectrum_four_spin_orbitals():
     s2 = build_symmetry_operator("s2", 4, "jw")
     evals = np.unique(np.round(np.linalg.eigvalsh(dense_op(s2)), 10))
@@ -327,3 +359,16 @@ def test_excitation_words_are_odd_y(rng):
     assert words
     assert all(y_parity(w) == 1 for w in words)
     assert len({(w.x_mask, w.z_mask) for w in words}) == len(words)
+
+
+def test_excitation_words_match_dense_excitations():
+    n_so = 4
+    pairs = [(p, q) for p in range(n_so) for q in range(p + 1, n_so)]
+    chains = [[(p, True), (q, False)] for p, q in pairs]
+    chains += [[(p, True), (q, True), (s, False), (r, False)] for (p, q), (r, s) in itertools.combinations(pairs, 2)]
+    all_words = [PauliWord(n_so, x, z) for x in range(1 << n_so) for z in range(1 << n_so)]
+    expected = set()
+    for chain in chains:
+        t = fock_matrix([(1.0, chain)], n_so)
+        expected |= {w for w in all_words if abs(np.trace(dense_word(w) @ (t - t.T))) > 1e-12}
+    assert set(excitation_words(n_so)) == expected

@@ -17,6 +17,7 @@ from iqcc.pauli import (
     mask_bits,
     mask_product,
     parity_signs,
+    word_products,
 )
 
 N_QUBITS = st.integers(1, 64)
@@ -56,6 +57,11 @@ def test_anticommuting_and_commutator_terms_match_scalar_algebra(case):
             # -(i/2)(w p - p w) = -i w p for anticommuting words, and w p = i**k (x, z)
             expected.append((x, z, c * {1: 1.0, 3: -1.0}[k]))
     assert list(zip(xn.tolist(), zn.tolist(), cn.tolist())) == expected
+    # word_products on array pairs: h's words times the same words reversed
+    xs, zs = h.x_masks, h.z_masks
+    x, z, k = word_products(xs, zs, xs[::-1], zs[::-1])
+    pairs = zip(xs.tolist(), zs.tolist(), xs[::-1].tolist(), zs[::-1].tolist())
+    assert list(zip(x.tolist(), z.tolist(), k.tolist())) == [mask_product(*pair) for pair in pairs]
 
 
 @settings(max_examples=200, deadline=None)
