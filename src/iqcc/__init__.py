@@ -21,7 +21,6 @@ from .fermion import (
     parse_integrals,
     reduce_qubits,
     spin_penalize,
-    symmetry_commutes,
     write_integrals,
 )
 from .pauli import (
@@ -43,10 +42,8 @@ from .product_state import (
     PurifiedReference,
     energy,
     energy_and_gradient,
-    expect_word,
     purify,
     qmf_minimize,
-    reference_expectation,
     reference_state,
 )
 from .screening import (
@@ -55,13 +52,10 @@ from .screening import (
     OperatorPool,
     build_dis,
     dis_pool,
-    dis_representative,
     fermionic_sd_pool,
-    group_members,
     partition_sectors,
     pool_gradients,
     sample_generators,
-    sector_gradient,
     two_qubit_pauli_pool,
 )
 

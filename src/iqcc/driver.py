@@ -130,7 +130,8 @@ def optimize_step(
 
     Tries `n_random_guesses` random starts plus the fallback start (zero
     amplitudes, previous angles); the fallback guarantees the result is
-    never above the previous iteration's energy.
+    never above the previous iteration's energy.  Raises ArithmeticError
+    when no start reaches a finite energy.
     """
     if not generators:
         raise ValueError("optimize_step needs at least one generator")
@@ -159,8 +160,10 @@ def optimize_step(
     best_x, best_e = None, math.inf
     for x0 in starts:
         res = _scipy_minimize(fun, x0, jac=True, method="BFGS", options={"gtol": 1e-8, "maxiter": 500})
-        if res.fun < best_e:
+        if math.isfinite(res.fun) and res.fun < best_e:
             best_x, best_e = res.x, float(res.fun)
+    if best_x is None:
+        raise ArithmeticError(f"no optimizer start of {len(starts)} reached a finite energy")
     taus = np.array([DressingStep(generators[i], best_x[i]).tau for i in range(g)])
     state = BlochState(best_x[g : g + n], best_x[g + n :]).normalized()
     return taus, state, best_e

@@ -25,7 +25,7 @@ from typing import TextIO
 import numpy as np
 
 from . import exact
-from .pauli import DimensionError, Operator, ParseError, PauliWord, anticommuting, parity_signs, word_products
+from .pauli import DimensionError, Operator, ParseError, PauliWord, parity_signs, word_products
 
 logger = logging.getLogger(__name__)
 
@@ -327,11 +327,6 @@ def spin_penalize(h: Operator, s2: Operator, mu: float) -> Operator:
     if h.n_qubits != s2.n_qubits:
         raise DimensionError("Hamiltonian and penalty operator qubit counts differ")
     return h + (mu / 2.0) * s2
-
-
-def symmetry_commutes(p: PauliWord, s: Operator) -> bool:
-    """True iff every term of s commutes with p, so that [s, p] is zero."""
-    return not anticommuting(s, p).any()
 
 
 # -- stationary-qubit reduction ---------------------------------------------------

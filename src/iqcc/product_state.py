@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .pauli import DimensionError, Operator, PauliWord, parity_signs
+from .pauli import DimensionError, Operator
 
 logger = logging.getLogger(__name__)
 
@@ -85,11 +85,6 @@ class PurifiedReference:
 def _check_state(s: BlochState, n_qubits: int) -> None:
     if s.n_qubits != n_qubits:
         raise DimensionError(f"state on {s.n_qubits} qubits, operator on {n_qubits}")
-
-
-def expect_word(s: BlochState, w: PauliWord) -> float:
-    """Product over qubits of the single-qubit expectation (1 for identity)."""
-    return energy(s, Operator(w.n_qubits, [(w, 1.0)]))
 
 
 def _letter_codes(h: Operator) -> np.ndarray:
@@ -193,13 +188,3 @@ def reference_state(ref: PurifiedReference) -> BlochState:
     """Bloch angles of a purified reference (theta 0 or pi, phi 0)."""
     theta = np.array([0.0 if b == 1 else math.pi for b in ref.bits])
     return BlochState(theta, np.zeros(len(ref.bits)))
-
-
-def reference_expectation(ref: PurifiedReference, h: Operator) -> float:
-    """<ref|h|ref>: only all-diagonal words (empty flip set) contribute."""
-    if h.n_qubits != ref.n_qubits:
-        raise DimensionError("reference/operator qubit mismatch")
-    diag = h.x_masks == 0
-    if not diag.any():
-        return 0.0
-    return float(h.coefficients[diag] @ parity_signs(h.z_masks[diag], np.uint64(ref.minus_mask)))

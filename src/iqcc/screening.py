@@ -6,6 +6,10 @@ sector; only generators whose flip set matches some sector and whose
 y-letter count is odd can have a nonzero first-order energy gradient on a
 z-collapsed reference.  Each such sector labels a group of 2**(n-1) words
 with identical gradient magnitude, summarized by one representative.
+
+One kernel, `_gradients`, scores any array of generator words: it pairs each
+word with the flip run of h that has its flip set, so building the whole
+screening set forms one (word, term) pair per off-diagonal term of h.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .pauli import Operator, PauliWord, commutator_half, flip_runs, mask_bits
-from .product_state import PurifiedReference, reference_expectation
+from .pauli import DimensionError, Operator, PauliWord, flip_runs, mask_bits, parity_signs, word_products
+from .pauli import commutator_half  # noqa: F401  unused here; bench/tracing.py wraps this binding by name
+from .product_state import PurifiedReference
 
 
 @dataclass(frozen=True)
@@ -49,73 +54,55 @@ def partition_sectors(h: Operator) -> list[FlipSector]:
     ]
 
 
-def dis_representative(flips: frozenset[int], n_qubits: int) -> PauliWord:
-    """y on the smallest flip index, x on the others, identity elsewhere."""
-    if not flips:
-        raise ValueError("the empty flip set has no representative (zero gradient)")
-    x = 0
-    for j in flips:
-        x |= 1 << j
-    return PauliWord(n_qubits, x, 1 << min(flips))
-
-
-def sector_gradient(sector: FlipSector, rep: PauliWord, ref: PurifiedReference) -> float:
-    """|<ref| -(i/2)[sector, rep] |ref>| for a representative of the sector."""
-    if flip_set(rep) != sector.flips:
-        raise ValueError("representative flip set does not match the sector")
-    return abs(reference_expectation(ref, commutator_half(sector.terms, rep)))
-
-
 def flip_set(w: PauliWord) -> frozenset[int]:
     """Qubits where w acts with x or y (the set bits of x_mask)."""
     return mask_bits(w.x_mask)
 
 
-def _rank_key(word: PauliWord, grad: float):
-    # descending gradient, word order breaks ties deterministically
-    return (-grad, word.x_mask, word.z_mask)
+def _gradients(h: Operator, ref: PurifiedReference, px: np.ndarray, pz: np.ndarray) -> np.ndarray:
+    """|<ref| -(i/2)[h, p] |ref>| for each word p = (px, pz) of two uint64 arrays.
+
+    Only terms with p's flip set give diagonal words w*p, so each word with a
+    nonempty flip set meets one flip run of h.  Each anticommuting term c*w
+    of that run contributes +-c times the reference's z sign of w*p, summed
+    by one dot product in ascending z order of w*p, the order of the
+    canonical commutator operator.
+    """
+    if h.n_qubits != ref.n_qubits:
+        raise DimensionError("reference/operator qubit mismatch")
+    runs, first, size = np.unique(h.x_masks, return_index=True, return_counts=True)
+    hits = np.flatnonzero(np.isin(px, runs) & (px != 0))
+    at = np.searchsorted(runs, px[hits])
+    length = size[at]
+    word = np.repeat(hits, length)
+    term = np.repeat(first[at] - np.cumsum(length) + length, length) + np.arange(len(word))
+    _, z, k = word_products(h.x_masks[term], h.z_masks[term], px[word], pz[word])
+    anti = np.flatnonzero(k % 2 == 1)  # anticommuting pairs, for which -i * i**k is +-1
+    anti = anti[np.lexsort((z[anti], word[anti]))]
+    word = word[anti]
+    coefficients = h.coefficients[term[anti]] * np.where(k[anti] == 1, 1.0, -1.0)
+    signs = parity_signs(z[anti], np.uint64(ref.minus_mask))
+    edges = np.searchsorted(word, np.arange(len(px) + 1))
+    return np.array([abs(float(np.dot(coefficients[a:b], signs[a:b]))) for a, b in zip(edges[:-1], edges[1:])])
 
 
 def build_dis(h: Operator, ref: PurifiedReference) -> list[GradientGroup]:
     """One gradient group per nonempty-flip sector of h.
 
-    Sorted by descending gradient magnitude, ties broken by the
+    The representative has y on the smallest flip index and x on the
+    others.  Sorted by descending gradient magnitude, ties broken by the
     representative's (x_mask, z_mask) order.  Cost is linear in the term
     count of h.
     """
-    groups = []
-    for sector in partition_sectors(h):
-        if not sector.flips:
-            continue
-        rep = dis_representative(sector.flips, h.n_qubits)
-        grad = sector_gradient(sector, rep, ref)
-        groups.append(GradientGroup(sector.flips, rep, grad))
-    groups.sort(key=lambda g: _rank_key(g.representative, g.gradient_magnitude))
-    return groups
-
-
-def group_members(group: GradientGroup, n_qubits: int) -> Iterator[PauliWord]:
-    """Enumerate all 2**(n-1) words of the group.
-
-    Any z/identity pattern outside the flip set, crossed with any odd-count
-    y placement on the flip set (x on the rest).
-    """
-    flips = sorted(group.flips)
-    others = [j for j in range(n_qubits) if j not in group.flips]
-    x = group.representative.x_mask
-    for zpat in range(1 << len(others)):
-        z_out = 0
-        for i, j in enumerate(others):
-            if (zpat >> i) & 1:
-                z_out |= 1 << j
-        for ypat in range(1 << len(flips)):
-            if bin(ypat).count("1") % 2 == 0:
-                continue
-            z_in = 0
-            for i, j in enumerate(flips):
-                if (ypat >> i) & 1:
-                    z_in |= 1 << j
-            yield PauliWord(n_qubits, x, z_out | z_in)
+    xs = np.unique(h.x_masks)
+    xs = xs[xs != 0]
+    zs = xs & -xs
+    grad = _gradients(h, ref, xs, zs)
+    n = h.n_qubits
+    return [
+        GradientGroup(mask_bits(int(xs[i])), PauliWord(n, int(xs[i]), int(zs[i])), float(grad[i]))
+        for i in np.lexsort((zs, xs, -grad))
+    ]
 
 
 def random_group_member(group: GradientGroup, n_qubits: int, rng: np.random.Generator) -> PauliWord:
@@ -195,22 +182,17 @@ def pool_gradients(
 ) -> list[tuple[PauliWord, float]]:
     """Top-k members of a fixed pool ranked by |gradient| against the full Hamiltonian.
 
-    Each member is scored against the matching flip sector (terms with any
-    other flip set cannot contribute on a z-collapsed reference).  The
+    Each member is scored against the terms of its own flip set (terms with
+    any other flip set cannot contribute on a z-collapsed reference).  The
     screening pool has no fixed members; its ranking is build_dis.
     """
     if top < 1:
         raise ValueError("top must be >= 1")
-    sectors = {s.flips: s for s in partition_sectors(h)}
-    ranked = []
-    for w in pool.words(h.n_qubits):
-        sector = sectors.get(flip_set(w))
-        grad = 0.0
-        if sector is not None and sector.flips:
-            grad = sector_gradient(sector, w, ref)
-        ranked.append((w, grad))
-    ranked.sort(key=lambda entry: _rank_key(*entry))
-    return ranked[:top]
+    words = list(pool.words(h.n_qubits))
+    px = np.fromiter((w.x_mask for w in words), dtype=np.uint64, count=len(words))
+    pz = np.fromiter((w.z_mask for w in words), dtype=np.uint64, count=len(words))
+    grad = _gradients(h, ref, px, pz)
+    return [(words[i], float(grad[i])) for i in np.lexsort((pz, px, -grad))[:top]]
 
 
 def sample_generators(

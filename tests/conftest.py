@@ -4,19 +4,24 @@ Dense matrices are built from explicit single-qubit matrices with Kronecker
 products (qubit 0 is the least-significant index bit); fermionic reference
 energies come from a brute-force determinant construction acting on
 occupation-number kets.  These provide the second route for every
-dual-checked operation.
+dual-checked operation.  A few slower paths over the package's own
+operators (the per-sector screening path among them) are kept here as the
+references their vectorised replacements must match bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import reduce
+from typing import Iterator
 
 import numpy as np
 import pytest
 
 from iqcc.fermion import IntegralData
-from iqcc.pauli import Operator, PauliWord
+from iqcc.pauli import Operator, PauliWord, anticommuting, commutator_half, parity_signs
+from iqcc.product_state import BlochState, PurifiedReference, energy
+from iqcc.screening import GradientGroup, partition_sectors
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -128,6 +133,76 @@ def random_integrals(rng: np.random.Generator, n_spatial: int, scale: float = 0.
 def op_allclose(a: Operator, b: Operator, tol: float = 1e-10) -> bool:
     diff = a - b
     return diff.is_empty or float(np.max(np.abs(diff.coefficients))) <= tol
+
+
+# -- reference paths over the package's operators ------------------------------
+#
+# Slower routes to results the package computes by other means, kept as the
+# references that the faster paths must match.
+
+
+def symmetry_commutes(p: PauliWord, s: Operator) -> bool:
+    """True iff every term of s commutes with p, so that [s, p] is zero."""
+    return not anticommuting(s, p).any()
+
+
+def expect_word(s: BlochState, w: PauliWord) -> float:
+    """Product over qubits of the single-qubit expectation (1 for identity)."""
+    return energy(s, Operator(w.n_qubits, [(w, 1.0)]))
+
+
+def reference_expectation(ref: PurifiedReference, h: Operator) -> float:
+    """<ref|h|ref>: only all-diagonal words (empty flip set) contribute."""
+    diag = h.x_masks == 0
+    if not diag.any():
+        return 0.0
+    return float(h.coefficients[diag] @ parity_signs(h.z_masks[diag], np.uint64(ref.minus_mask)))
+
+
+def sector_gradient(h: Operator, p: PauliWord, ref: PurifiedReference) -> float:
+    """|<ref| -(i/2)[S, p] |ref>| for the flip sector S of h that has p's flip set,
+    taken as the reference expectation of the canonical commutator operator."""
+    for sector in partition_sectors(h):
+        if sector.flips and sector.terms.x_masks[0] == p.x_mask:
+            return abs(reference_expectation(ref, commutator_half(sector.terms, p)))
+    return 0.0
+
+
+def sector_path_dis(h: Operator, ref: PurifiedReference) -> list[GradientGroup]:
+    """Screening set built sector by sector, ranked by a Python sort."""
+    groups = []
+    for sector in partition_sectors(h):
+        if sector.flips:
+            x = int(sector.terms.x_masks[0])
+            rep = PauliWord(h.n_qubits, x, 1 << min(sector.flips))
+            grad = abs(reference_expectation(ref, commutator_half(sector.terms, rep)))
+            groups.append(GradientGroup(sector.flips, rep, grad))
+    groups.sort(key=lambda g: (-g.gradient_magnitude, g.representative.x_mask, g.representative.z_mask))
+    return groups
+
+
+def group_members(group: GradientGroup, n_qubits: int) -> Iterator[PauliWord]:
+    """Enumerate all 2**(n-1) words of the group.
+
+    Any z/identity pattern outside the flip set, crossed with any odd-count
+    y placement on the flip set (x on the rest).
+    """
+    flips = sorted(group.flips)
+    others = [j for j in range(n_qubits) if j not in group.flips]
+    x = group.representative.x_mask
+    for zpat in range(1 << len(others)):
+        z_out = 0
+        for i, j in enumerate(others):
+            if (zpat >> i) & 1:
+                z_out |= 1 << j
+        for ypat in range(1 << len(flips)):
+            if bin(ypat).count("1") % 2 == 0:
+                continue
+            z_in = 0
+            for i, j in enumerate(flips):
+                if (ypat >> i) & 1:
+                    z_in |= 1 << j
+            yield PauliWord(n_qubits, x, z_out | z_in)
 
 
 # -- determinant CI oracle ------------------------------------------------------

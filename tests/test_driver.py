@@ -134,6 +134,24 @@ def test_optimize_step_energy_matches_statevector():
     assert e == pytest.approx(expectation(v, dressed), abs=1e-10)
 
 
+def test_optimize_step_raises_when_no_start_is_finite(monkeypatch, tmp_path):
+    import iqcc.driver as driver_mod
+    from iqcc.cli import main
+
+    def nan_objective(h, generators, n):
+        return lambda x: (math.nan, np.zeros_like(x))
+
+    monkeypatch.setattr(driver_mod, "_objective", nan_objective)
+    h = Operator.from_labels({"ZI": 1.0, "XX": 0.5})
+    state = BlochState(np.full(2, 0.1), np.zeros(2))
+    with pytest.raises(ArithmeticError, match="finite energy"):
+        optimize_step(h, [PauliWord.from_label("YX")], state, _fast_config())
+
+    op = tmp_path / "h.op"
+    op.write_text("1.0 ZI\n0.5 XX\n")
+    assert main(["--outdir", str(tmp_path), "run", str(op), "--steps", "1"]) == 2
+
+
 def test_fermionic_pool_converges_on_mapped_hamiltonian():
     from iqcc.fermion import jordan_wigner
     from iqcc.screening import fermionic_sd_pool

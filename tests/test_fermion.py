@@ -21,12 +21,18 @@ from iqcc.fermion import (
     parse_integrals,
     reduce_qubits,
     spin_penalize,
-    symmetry_commutes,
     write_integrals,
 )
 from iqcc.pauli import Operator, ParseError, PauliWord, commutator_half, y_parity
 
-from conftest import dense_op, dense_word, determinant_hamiltonian, fock_matrix, random_integrals
+from conftest import (
+    dense_op,
+    dense_word,
+    determinant_hamiltonian,
+    fock_matrix,
+    random_integrals,
+    symmetry_commutes,
+)
 
 
 def _h2_like_integrals() -> IntegralData:

@@ -14,14 +14,19 @@ from iqcc.product_state import (
     PurifiedReference,
     energy,
     energy_and_gradient,
-    expect_word,
     purify,
     qmf_minimize,
-    reference_expectation,
     reference_state,
 )
 
-from conftest import dense_op, product_state_vector, random_operator, random_word
+from conftest import (
+    dense_op,
+    expect_word,
+    product_state_vector,
+    random_operator,
+    random_word,
+    reference_expectation,
+)
 
 
 def _statevector_expectation(s: BlochState, h: Operator) -> float:

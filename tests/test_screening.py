@@ -5,23 +5,30 @@ import itertools
 import numpy as np
 import pytest
 
-from iqcc.pauli import Operator, PauliWord, y_parity
+from iqcc.pauli import DimensionError, Operator, PauliWord, y_parity
 from iqcc.product_state import PurifiedReference
 from iqcc.screening import (
+    OperatorPool,
     build_dis,
-    dis_representative,
     fermionic_sd_pool,
     flip_set,
-    group_members,
     partition_sectors,
     pool_gradients,
     random_group_member,
     sample_generators,
-    sector_gradient,
     two_qubit_pauli_pool,
 )
 
-from conftest import basis_state_vector, dense_op, dense_word, random_operator
+from conftest import (
+    basis_state_vector,
+    dense_op,
+    dense_word,
+    group_members,
+    random_odd_y_word,
+    random_operator,
+    sector_gradient,
+    sector_path_dis,
+)
 
 
 def _dense_gradient(h: Operator, p: PauliWord, bits: tuple[int, ...]) -> float:
@@ -66,27 +73,34 @@ def test_sector_count_bounded_by_terms(rng):
     assert len(partition_sectors(h)) <= len(h)
 
 
+def _representatives(h: Operator) -> dict[frozenset[int], PauliWord]:
+    return {g.flips: g.representative for g in build_dis(h, PurifiedReference((1,) * h.n_qubits))}
+
+
 def test_dis_representative_construction():
-    rep = dis_representative(frozenset({0, 1}), 2)
-    assert rep == PauliWord.from_label("YX")
-    assert dis_representative(frozenset({2}), 4) == PauliWord.from_label("IIYI")
-    rep = dis_representative(frozenset({1, 3, 4}), 5)
+    reps = _representatives(Operator.from_labels({"XX": 1.0}))
+    assert reps[frozenset({0, 1})] == PauliWord.from_label("YX")
+    reps = _representatives(Operator.from_labels({"IIXI": 1.0, "IXIX": 0.5}))
+    assert reps[frozenset({2})] == PauliWord.from_label("IIYI")
+    assert reps[frozenset({1, 3})] == PauliWord.from_label("IYIX")
+    reps = _representatives(Operator.from_labels({"IXZXY": 1.0}))
+    rep = reps[frozenset({1, 3, 4})]
     assert rep == PauliWord.from_label("IYIXX")
     assert y_parity(rep) == 1
 
 
 def test_dis_representative_rejects_empty():
-    with pytest.raises(ValueError):
-        dis_representative(frozenset(), 3)
+    # diagonal terms (the empty flip set) give no group, next to other sectors
+    h = Operator.from_labels({"ZII": 1.0, "IZZ": -0.4, "III": 0.2, "XXI": 0.3})
+    assert list(_representatives(h)) == [frozenset({0, 1})]
 
 
 def test_sector_gradient_single_term():
     h = Operator.from_labels({"XX": 0.7})
-    sector = partition_sectors(h)[0]
-    rep = dis_representative(frozenset({0, 1}), 2)
     ref = PurifiedReference((1, 1))
-    grad = sector_gradient(sector, rep, ref)
-    assert grad == pytest.approx(_dense_gradient(h, rep, ref.bits), abs=1e-12)
+    (group,) = build_dis(h, ref)
+    grad = group.gradient_magnitude
+    assert grad == pytest.approx(_dense_gradient(h, group.representative, ref.bits), abs=1e-12)
     assert grad == pytest.approx(0.7)
 
 
@@ -108,12 +122,27 @@ def test_mismatched_flips_score_zero_on_full_hamiltonian(rng):
     w = PauliWord.from_label("YII")  # flips {0}: no matching sector
     assert _dense_gradient(h, w, ref.bits) == pytest.approx(0.0, abs=1e-14)
     ranked = dict(pool_gradients(h, ref, two_qubit_pauli_pool(), top=100))
-    assert ranked.get(w, 0.0) == 0.0
+    assert ranked[w] == 0.0
+    # only the words with flips {0, 1} meet a run of h
+    assert {v for v, grad in ranked.items() if grad != 0.0} == {PauliWord.from_label(s) for s in ("XYI", "YXI")}
 
 
 def test_build_dis_empty_for_diagonal():
-    h = Operator.from_labels({"ZI": 1.0, "ZZ": -0.5})
-    assert build_dis(h, PurifiedReference((1, 1))) == []
+    ref = PurifiedReference((1, -1))
+    for h in (Operator.zero(2), Operator.from_labels({"ZI": 1.0, "ZZ": -0.5})):
+        assert build_dis(h, ref) == []
+        for pool in (two_qubit_pauli_pool(), fermionic_sd_pool()):
+            ranked = pool_gradients(h, ref, pool, top=100)
+            assert ranked and all(grad == 0.0 for _, grad in ranked)
+
+
+def test_screening_rejects_mismatched_reference():
+    ref = PurifiedReference((1, 1, 1))
+    for h in (Operator.zero(2), Operator.from_labels({"ZI": 1.0}), Operator.from_labels({"XX": 0.7})):
+        with pytest.raises(DimensionError):
+            build_dis(h, ref)
+        with pytest.raises(DimensionError):
+            pool_gradients(h, ref, two_qubit_pauli_pool(), top=1)
 
 
 def test_build_dis_orders_by_gradient(rng):
@@ -134,6 +163,37 @@ def test_build_dis_gradient_matches_dense(rng):
             assert g.gradient_magnitude == pytest.approx(
                 _dense_gradient(h, g.representative, bits), abs=1e-10
             )
+        for pool in (two_qubit_pauli_pool(), fermionic_sd_pool()):
+            ranked = pool_gradients(h, ref, pool, top=1000)
+            assert len(ranked) == len(list(pool.words(3)))
+            for w, grad in ranked:
+                assert grad == pytest.approx(_dense_gradient(h, w, bits), abs=1e-10)
+
+
+def _long_run_operator(rng, n: int, n_runs: int) -> Operator:
+    """Random operator whose off-diagonal flip runs hold 16 to 40 terms each."""
+    terms = []
+    for x in rng.choice(np.arange(1, 1 << n), size=n_runs, replace=False):
+        for z in rng.choice(1 << n, size=int(rng.integers(16, 41)), replace=False):
+            terms.append((PauliWord(n, int(x), int(z)), float(rng.normal())))
+    terms += [(PauliWord(n, 0, int(z)), float(rng.normal())) for z in range(1 << n)]
+    return Operator(n, terms)
+
+
+def test_screening_equals_sector_path_bit_for_bit(rng):
+    # runs of 16 or more terms reach the blocked summation of the dot product,
+    # where a different summation order would move the last bits
+    for _ in range(5):
+        h = _long_run_operator(rng, 7, 6)
+        ref = PurifiedReference(tuple(int(b) for b in rng.choice([1, -1], 7)))
+        assert build_dis(h, ref) == sector_path_dis(h, ref)
+        # random words, and words on the runs of h with random z letters
+        words = [random_odd_y_word(rng, 7) for _ in range(40)]
+        words += [PauliWord(7, int(x), int(z)) for x in np.unique(h.x_masks) for z in rng.integers(0, 128, 3)]
+        expected = [(w, sector_gradient(h, w, ref)) for w in words]
+        expected.sort(key=lambda e: (-e[1], e[0].x_mask, e[0].z_mask))
+        pool = OperatorPool("test", lambda n: iter(words))
+        assert pool_gradients(h, ref, pool, top=len(words)) == expected
 
 
 def test_group_members_counts():
@@ -208,26 +268,24 @@ def test_fermionic_pool_top_matches_dis_when_flips_coincide(rng):
 
 
 def test_dis_cost_scales_linearly_with_terms(rng, monkeypatch):
-    # doubling the term count at fixed width at most doubles the number of
-    # per-sector gradient evaluations
+    # the kernel forms exactly one (word, term) product per off-diagonal term
+    # of h, in one vectorised call
     import iqcc.screening as screening_mod
 
-    calls = {"n": 0}
-    orig = screening_mod.sector_gradient
+    pairs = []
+    orig = screening_mod.word_products
 
-    def counting(sector, rep, ref):
-        calls["n"] += 1
-        return orig(sector, rep, ref)
+    def counting(ax, az, bx, bz):
+        pairs.append(len(ax))
+        return orig(ax, az, bx, bz)
 
-    monkeypatch.setattr(screening_mod, "sector_gradient", counting)
+    monkeypatch.setattr(screening_mod, "word_products", counting)
     ref = PurifiedReference((1, 1, 1, 1, 1, 1))
-    h1 = random_operator(rng, 6, 40)
-    build_dis(h1, ref)
-    first = calls["n"]
-    calls["n"] = 0
-    h2 = random_operator(rng, 6, 80)
-    build_dis(h2, ref)
-    assert calls["n"] <= 2 * first
+    for n_terms in (40, 80, 825):
+        h = random_operator(rng, 6, n_terms)
+        pairs.clear()
+        build_dis(h, ref)
+        assert pairs == [int(np.count_nonzero(h.x_masks))]
 
 
 def test_sample_generators_counts_and_determinism(rng):
