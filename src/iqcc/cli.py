@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -106,10 +107,16 @@ def _fmt(value: float) -> str:
 
 
 def _parse_assignment(text: str) -> QubitAssignment:
+    """`pos=+-1` items joined by commas, each position at most once."""
     eigenvalues = {}
     for item in text.split(","):
-        pos, _, val = item.partition("=")
-        eigenvalues[int(pos)] = int(val)
+        match = re.fullmatch(r"\s*(\d+)\s*=\s*([+-]?1)\s*", item)
+        if match is None:
+            raise ParseError(f"--assign item {item!r} is not of the form pos=1 or pos=-1")
+        pos = int(match[1])
+        if pos in eigenvalues:
+            raise ParseError(f"--assign item {item!r} repeats position {pos}")
+        eigenvalues[pos] = int(match[2])
     return QubitAssignment(eigenvalues)
 
 

@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .pauli import Operator, PauliWord, anticommuting, commutator_terms
+from .pauli import Operator, PauliWord, rotate
 
 
 def _reduce_angle(tau: float) -> float:
@@ -41,20 +39,9 @@ class DressingStep:
 
 def dress(h: Operator, step: DressingStep) -> Operator:
     """Similarity-transform h by one exponential factor."""
-    p = step.generator
-    anti = anticommuting(h, p)
-    if step.tau == 0.0 or not anti.any():
+    if step.tau == 0.0:
         return h
-    sin_t, cos_t = math.sin(step.tau), math.cos(step.tau)
-    xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
-    xa, za, ca = xs[anti], zs[anti], cs[anti]
-    xn, zn, cn = commutator_terms(xa, za, ca, p)
-    return Operator._from_raw(
-        h.n_qubits,
-        np.concatenate([xs[~anti], xa, xn]),
-        np.concatenate([zs[~anti], za, zn]),
-        np.concatenate([cs[~anti], ca * cos_t, cn * sin_t]),
-    )
+    return rotate(h, step.generator, math.cos(step.tau), math.sin(step.tau))
 
 
 def dress_derivative(h: Operator, step: DressingStep) -> Operator:
@@ -62,19 +49,7 @@ def dress_derivative(h: Operator, step: DressingStep) -> Operator:
 
     Equals cos(tau) * (-(i/2)[h, P]) + sin(tau)/2 * (P h P - h).
     """
-    p = step.generator
-    anti = anticommuting(h, p)
-    if not anti.any():
-        return Operator.zero(h.n_qubits)
-    sin_t, cos_t = math.sin(step.tau), math.cos(step.tau)
-    xa, za, ca = h.x_masks[anti], h.z_masks[anti], h.coefficients[anti]
-    xn, zn, cn = commutator_terms(xa, za, ca, p)
-    return Operator._from_raw(
-        h.n_qubits,
-        np.concatenate([xa, xn]),
-        np.concatenate([za, zn]),
-        np.concatenate([-ca * sin_t, cn * cos_t]),
-    )
+    return rotate(h, step.generator, -math.sin(step.tau), math.cos(step.tau), commuting=False)
 
 
 def dress_sequence(h: Operator, steps: Iterable[DressingStep]) -> Operator:

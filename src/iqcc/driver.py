@@ -174,7 +174,7 @@ def _select_generators(
 ) -> tuple[list[PauliWord], float]:
     """Screen the current Hamiltonian; return generators and the top gradient."""
     ref = purify(state)
-    if config.pool.kind == "dis":
+    if config.pool.words is None:
         groups = [g for g in build_dis(h, ref) if g.gradient_magnitude > config.grad_threshold]
         if not groups:
             return [], 0.0

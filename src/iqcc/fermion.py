@@ -16,6 +16,7 @@ vectorised word product `pauli.word_products`.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -25,7 +26,7 @@ from typing import TextIO
 import numpy as np
 
 from . import exact
-from .pauli import DimensionError, Operator, ParseError, PauliWord, parity_signs, word_products
+from .pauli import MAX_QUBITS, DimensionError, Operator, ParseError, frozen, parity_signs, word_products
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +56,8 @@ class IntegralData:
 
     def validate(self) -> None:
         n = self.n_spatial
+        if not 1 <= n <= MAX_QUBITS // 2:
+            raise ValueError(f"n_spatial must be in [1, {MAX_QUBITS // 2}] (two qubits per orbital), got {n}")
         if self.h.shape != (n, n) or self.g.shape != (n, n, n, n):
             raise ValueError("integral tensor shapes do not match n_spatial")
         if not np.allclose(self.h, self.h.T):
@@ -99,8 +102,8 @@ def parse_integrals(stream: TextIO) -> IntegralData:
     if "NORB" not in metadata:
         raise ParseError("header does not define NORB")
     n = metadata["NORB"]
-    if n < 1:
-        raise ParseError(f"NORB must be positive, got {n}")
+    if not 1 <= n <= MAX_QUBITS // 2:
+        raise ParseError(f"NORB must be in [1, {MAX_QUBITS // 2}] (two qubits per orbital), got {n}")
 
     h = np.zeros((n, n))
     g = np.zeros((n, n, n, n))
@@ -263,9 +266,11 @@ def parity_map(data: IntegralData) -> Operator:
     return _map_hamiltonian(data, "parity")
 
 
-def excitation_words(n_so: int) -> list[PauliWord]:
-    """Deduplicated Pauli words of all mapped anti-Hermitian single and double
-    excitations over n_so spin-orbitals (Jordan-Wigner image).
+@functools.cache
+def excitation_words(n_so: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (x, z) mask arrays of the distinct Pauli words of all mapped
+    anti-Hermitian single and double excitations over n_so spin-orbitals
+    (Jordan-Wigner image), in ascending (x, z) order.
 
     For Hermitian words W, T - T^dagger = sum 2i Im(c_W) W, so the words of an
     excitation are those of T with a nonzero imaginary coefficient.
@@ -277,13 +282,10 @@ def excitation_words(n_so: int) -> list[PauliWord]:
     doubles = _ladder_terms(
         table, np.stack([p[a], q[a], q[b], p[b]], axis=1), (True, True, False, False), np.ones(len(a))
     )
-    seen = {
-        (x, z)
-        for xs, zs, cs in (singles, doubles)
-        for x, z, c in zip(xs.tolist(), zs.tolist(), cs.imag.tolist())
-        if c != 0.0 and (x, z) != (0, 0)
-    }
-    return [PauliWord(n_so, x, z) for x, z in sorted(seen)]
+    x, z, c = (np.concatenate(t) for t in zip(singles, doubles))
+    keep = (c.imag != 0.0) & ((x | z) != 0)
+    words = np.unique(np.stack([x[keep], z[keep]], axis=1), axis=0)
+    return frozen(words[:, 0].copy(), words[:, 1].copy())
 
 
 # -- symmetry operators ----------------------------------------------------------

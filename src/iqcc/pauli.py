@@ -159,6 +159,13 @@ def parity_signs(a: np.ndarray, m) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(a & m) & 1)
 
 
+def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays themselves, made read-only (shared or cached results)."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def _canonical_arrays(
     xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, tol: float = MERGE_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,8 +209,7 @@ class Operator:
         self._freeze()
 
     def _freeze(self) -> None:
-        for a in (self._xs, self._zs, self._cs):
-            a.setflags(write=False)
+        frozen(self._xs, self._zs, self._cs)
 
     @classmethod
     def _from_raw(cls, n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray) -> "Operator":
@@ -351,23 +357,37 @@ def flip_runs(h: Operator) -> list[tuple[int, slice]]:
     return [(int(xs[a]), slice(a, b)) for a, b in zip(edges, edges[1:])]
 
 
-def commutator_half(h: Operator, p: PauliWord) -> Operator:
-    """-(i/2)[h, p], always real for real h.
+def rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True) -> Operator:
+    """a * (terms of h anticommuting with p) + b * (-(i/2)[h, p]), plus the
+    terms commuting with p when `commuting` is set.
 
-    Terms of h that commute with p contribute nothing; each anticommuting
-    term c*w maps to +-c * (w*p).
+    With a = cos(tau), b = sin(tau) this is the similarity transformation
+    exp(i*tau*p/2) h exp(-i*tau*p/2); each anticommuting term c*w spawns the
+    one word +-c * (w*p).  Returns h itself (or, without `commuting`, the
+    zero operator) when no term anticommutes with p.
     """
     anti = anticommuting(h, p)
     if not anti.any():
-        return Operator.zero(h.n_qubits)
-    terms = commutator_terms(h.x_masks[anti], h.z_masks[anti], h.coefficients[anti], p)
-    return Operator._from_raw(h.n_qubits, *terms)
+        return h if commuting else Operator.zero(h.n_qubits)
+    rest = ~anti & commuting
+    xa, za, ca = h.x_masks[anti], h.z_masks[anti], h.coefficients[anti]
+    xn, zn, cn = commutator_terms(xa, za, ca, p)
+    return Operator._from_raw(
+        h.n_qubits,
+        np.concatenate([h.x_masks[rest], xa, xn]),
+        np.concatenate([h.z_masks[rest], za, zn]),
+        np.concatenate([h.coefficients[rest], ca * a, cn * b]),
+    )
+
+
+def commutator_half(h: Operator, p: PauliWord) -> Operator:
+    """-(i/2)[h, p], always real for real h."""
+    return rotate(h, p, 0.0, 1.0, commuting=False)
 
 
 def conjugate_by_word(h: Operator, p: PauliWord) -> Operator:
     """p*h*p: same word set as h, sign flipped on terms anticommuting with p."""
-    anti = anticommuting(h, p)
-    return Operator._from_canonical(h.n_qubits, h.x_masks, h.z_masks, h.coefficients * (1.0 - 2.0 * anti))
+    return rotate(h, p, -1.0, 0.0)
 
 
 def frobenius_norm(h: Operator) -> float:

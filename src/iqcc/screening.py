@@ -14,12 +14,14 @@ screening set forms one (word, term) pair per off-diagonal term of h.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from .pauli import DimensionError, Operator, PauliWord, flip_runs, mask_bits, parity_signs, word_products
+from .fermion import excitation_words
+from .pauli import DimensionError, Operator, PauliWord, flip_runs, frozen, mask_bits, parity_signs, word_products
 from .pauli import commutator_half  # noqa: F401  unused here; bench/tracing.py wraps this binding by name
 from .product_state import PurifiedReference
 
@@ -128,41 +130,26 @@ def random_group_member(group: GradientGroup, n_qubits: int, rng: np.random.Gene
 
 @dataclass(frozen=True)
 class OperatorPool:
-    """A generator pool: either the Hamiltonian-derived screening set or a
-    fixed word collection enumerated on demand."""
+    """A generator pool: the Hamiltonian-derived screening set (`words` is
+    None) or a fixed word set, read-only (x, z) mask arrays per qubit count."""
 
     kind: str
-    _enumerate: Callable[[int], Iterator[PauliWord]] | None = None
-
-    def words(self, n_qubits: int) -> Iterator[PauliWord]:
-        if self._enumerate is None:
-            raise ValueError(f"pool {self.kind!r} is derived from the Hamiltonian, not enumerable")
-        return self._enumerate(n_qubits)
+    words: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None
 
 
-def _two_qubit_words(n: int) -> Iterator[PauliWord]:
-    letters = "XYZ"
-    for j in range(n):
-        for a in letters:
-            yield PauliWord.single(n, j, a)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for a in letters:
-                for b in letters:
-                    wa = PauliWord.single(n, j, a)
-                    wb = PauliWord.single(n, k, b)
-                    yield PauliWord(n, wa.x_mask | wb.x_mask, wa.z_mask | wb.z_mask)
+@functools.cache
+def _two_qubit_words(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All words of weight 1 and 2: each qubit's x, y, z, then each qubit pair's
+    nine letter pairs, pairs in triu_indices order."""
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    j, k = np.triu_indices(n, 1)
 
+    def masks(letters: np.ndarray) -> np.ndarray:
+        pairs = bit[j, None, None] * letters[:, None] | bit[k, None, None] * letters
+        return np.concatenate([(bit[:, None] * letters).ravel(), pairs.ravel()])
 
-def _fermionic_sd_words(n: int) -> Iterator[PauliWord]:
-    """Words appearing in mapped anti-Hermitian single/double excitations.
-
-    Treats the n qubits as n spin-orbitals under the Jordan-Wigner image;
-    the resulting word set is deduplicated and ordered lexicographically.
-    """
-    from .fermion import excitation_words
-
-    return iter(excitation_words(n))
+    x_bits, z_bits = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint64)  # of the letters x, y, z
+    return frozen(masks(x_bits), masks(z_bits))
 
 
 def dis_pool() -> OperatorPool:
@@ -174,7 +161,9 @@ def two_qubit_pauli_pool() -> OperatorPool:
 
 
 def fermionic_sd_pool() -> OperatorPool:
-    return OperatorPool("fermionic-sd", _fermionic_sd_words)
+    """Words of the Jordan-Wigner images of all single and double excitations,
+    treating the n qubits as n spin-orbitals."""
+    return OperatorPool("fermionic-sd", excitation_words)
 
 
 def pool_gradients(
@@ -188,11 +177,12 @@ def pool_gradients(
     """
     if top < 1:
         raise ValueError("top must be >= 1")
-    words = list(pool.words(h.n_qubits))
-    px = np.fromiter((w.x_mask for w in words), dtype=np.uint64, count=len(words))
-    pz = np.fromiter((w.z_mask for w in words), dtype=np.uint64, count=len(words))
+    if pool.words is None:
+        raise ValueError(f"pool {pool.kind!r} is derived from the Hamiltonian, not enumerable")
+    px, pz = pool.words(h.n_qubits)
     grad = _gradients(h, ref, px, pz)
-    return [(words[i], float(grad[i])) for i in np.lexsort((pz, px, -grad))[:top]]
+    best = np.lexsort((pz, px, -grad))[:top]
+    return [(PauliWord(h.n_qubits, int(px[i]), int(pz[i])), float(grad[i])) for i in best]
 
 
 def sample_generators(

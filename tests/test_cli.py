@@ -49,6 +49,33 @@ def test_map_missing_file_is_user_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "assign, item",
+    [("1=1,1=-1", "'1=-1'"), ("1", "'1'"), ("1=2", "'1=2'"), ("1=-1,x=1", "'x=1'"), ("1=-1,", "''")],
+)
+def test_map_rejects_bad_assignment(tmp_path, capsys, assign, item):
+    rc = main(["--outdir", str(tmp_path), "map", str(FIXTURE), "--mapping", "parity", "--assign", assign])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --assign item") and item in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_map_accepts_signed_assignment(tmp_path, capsys):
+    rc = main(["--outdir", str(tmp_path), "map", str(FIXTURE), "--mapping", "parity", "--assign", "1=+1, 3=-1"])
+    assert rc == 0
+    assert "reduction: positions=[1, 3] eigenvalues=[1, -1]" in capsys.readouterr().out
+
+
+def test_map_rejects_orbital_count_beyond_64_qubits(tmp_path, capsys):
+    path = tmp_path / "big.fcidump"
+    path.write_text(" &FCI NORB=33,NELEC=2,MS2=0,\n &END\n0.5 1 1 0 0\n0.0 0 0 0 0\n")
+    assert main(["--outdir", str(tmp_path), "map", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "NORB" in captured.err and "mapped:" not in captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["big.fcidump"]
+
+
 def test_exact_subcommand(tmp_path, capsys):
     main(["--outdir", str(tmp_path), "map", str(FIXTURE), "-o", "h2.op"])
     capsys.readouterr()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqcc.dressing import DressingStep, dress, dress_derivative, dress_sequence
 from iqcc.pauli import Operator, PauliWord, commutator_half
@@ -126,6 +128,30 @@ def test_derivative_at_zero_is_screening_direction(rng):
     h = random_operator(rng, 4, 10)
     p = random_odd_y_word(rng, 4)
     assert op_allclose(dress_derivative(h, DressingStep(p, 0.0)), commutator_half(h, p), 1e-12)
+
+
+@st.composite
+def operator_word_angle(draw):
+    n = draw(st.integers(1, 4))
+    word = st.builds(PauliWord, st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    terms = draw(st.lists(st.tuples(word, st.floats(-2.0, 2.0)), max_size=12))
+    poles = [k * math.pi / 2 for k in range(-4, 5)]
+    tau = draw(st.one_of(st.sampled_from(poles), st.floats(-10.0, 10.0)))
+    return Operator(n, terms), draw(word), tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_word_angle())
+def test_rotation_kernels_match_dense_oracle(case):
+    h, p, tau = case
+    step = DressingStep(p, tau)
+    hd, pd = dense_op(h), dense_word(p)
+    c, s = math.cos(step.tau / 2), math.sin(step.tau / 2)
+    u = c * np.eye(len(pd)) - 1j * s * pd
+    du = -0.5 * (s * np.eye(len(pd)) + 1j * c * pd)  # d/dtau of u
+    assert np.allclose(dense_op(dress(h, step)), u.conj().T @ hd @ u, atol=1e-12)
+    assert np.allclose(dense_op(dress_derivative(h, step)), du.conj().T @ hd @ u + u.conj().T @ hd @ du, atol=1e-12)
+    assert np.allclose(dense_op(commutator_half(h, p)), -0.5j * (hd @ pd - pd @ hd), atol=1e-12)
 
 
 def test_amplitude_range_reduction():

@@ -83,6 +83,20 @@ def test_parse_errors_carry_line_numbers():
         parse_integrals(io.StringIO(" &FCI NORB=2,\n &END\n0.5 3 1 0 0\n"))
 
 
+def test_orbital_count_beyond_64_qubits_is_rejected():
+    # 33 orbitals would need 66 qubits; the header alone is rejected, before
+    # any integral tensor is allocated
+    for norb in (0, 33, 200):
+        with pytest.raises(ParseError, match="NORB"):
+            parse_integrals(io.StringIO(f" &FCI NORB={norb},\n &END\n0.1 0 0 0 0\n"))
+    assert parse_integrals(io.StringIO(" &FCI NORB=32,\n &END\n0.1 0 0 0 0\n")).n_so == 64
+    n = 33
+    data = IntegralData(n, np.zeros((n, n)), np.zeros((n, n, n, n)), 0.0)
+    for mapping in (jordan_wigner, parity_map):
+        with pytest.raises(ValueError, match="n_spatial"):
+            mapping(data)
+
+
 def test_integrals_roundtrip_bit_exact(rng):
     data = random_integrals(rng, 3)
     buf = io.StringIO()
@@ -360,11 +374,18 @@ def test_spin_penalty_keeps_singlet_ground_state():
         assert ep == pytest.approx(e0, abs=1e-10)
 
 
+def _excitation_word_list(n_so: int) -> list[PauliWord]:
+    x, z = excitation_words(n_so)
+    return [PauliWord(n_so, a, b) for a, b in zip(x.tolist(), z.tolist())]
+
+
 def test_excitation_words_are_odd_y(rng):
-    words = excitation_words(4)
+    words = _excitation_word_list(4)
     assert words
     assert all(y_parity(w) == 1 for w in words)
-    assert len({(w.x_mask, w.z_mask) for w in words}) == len(words)
+    # distinct and in ascending (x, z) order
+    keys = [(w.x_mask, w.z_mask) for w in words]
+    assert keys == sorted(set(keys))
 
 
 def test_excitation_words_match_dense_excitations():
@@ -377,4 +398,10 @@ def test_excitation_words_match_dense_excitations():
     for chain in chains:
         t = fock_matrix([(1.0, chain)], n_so)
         expected |= {w for w in all_words if abs(np.trace(dense_word(w) @ (t - t.T))) > 1e-12}
-    assert set(excitation_words(n_so)) == expected
+    assert set(_excitation_word_list(n_so)) == expected
+
+
+def test_excitation_words_are_cached_read_only():
+    x, z = excitation_words(6)
+    assert excitation_words(6)[0] is x
+    assert x.dtype == z.dtype == np.uint64 and not x.flags.writeable and not z.flags.writeable

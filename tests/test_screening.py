@@ -10,6 +10,7 @@ from iqcc.product_state import PurifiedReference
 from iqcc.screening import (
     OperatorPool,
     build_dis,
+    dis_pool,
     fermionic_sd_pool,
     flip_set,
     partition_sectors,
@@ -165,7 +166,7 @@ def test_build_dis_gradient_matches_dense(rng):
             )
         for pool in (two_qubit_pauli_pool(), fermionic_sd_pool()):
             ranked = pool_gradients(h, ref, pool, top=1000)
-            assert len(ranked) == len(list(pool.words(3)))
+            assert len(ranked) == len(pool.words(3)[0])
             for w, grad in ranked:
                 assert grad == pytest.approx(_dense_gradient(h, w, bits), abs=1e-10)
 
@@ -192,7 +193,8 @@ def test_screening_equals_sector_path_bit_for_bit(rng):
         words += [PauliWord(7, int(x), int(z)) for x in np.unique(h.x_masks) for z in rng.integers(0, 128, 3)]
         expected = [(w, sector_gradient(h, w, ref)) for w in words]
         expected.sort(key=lambda e: (-e[1], e[0].x_mask, e[0].z_mask))
-        pool = OperatorPool("test", lambda n: iter(words))
+        masks = tuple(np.array([getattr(w, m) for w in words], dtype=np.uint64) for m in ("x_mask", "z_mask"))
+        pool = OperatorPool("test", lambda n: masks)
         assert pool_gradients(h, ref, pool, top=len(words)) == expected
 
 
@@ -228,11 +230,46 @@ def test_random_group_member_lies_in_group(rng):
 
 
 def test_two_qubit_pool_size():
-    words = list(two_qubit_pauli_pool().words(2))
-    assert len(words) == 15  # all non-identity words on 2 qubits
-    assert len(set(words)) == 15
-    words4 = list(two_qubit_pauli_pool().words(4))
-    assert all(1 <= w.weight <= 2 for w in words4)
+    # every word of weight 1 and 2, against a brute-force enumeration
+    for n in range(1, 7):
+        x, z = two_qubit_pauli_pool().words(n)
+        expected = {
+            (w.x_mask, w.z_mask)
+            for w in (PauliWord(n, a, b) for a in range(1 << n) for b in range(1 << n))
+            if 1 <= w.weight <= 2
+        }
+        assert len(x) == len(expected) and set(zip(x.tolist(), z.tolist())) == expected
+    assert len(two_qubit_pauli_pool().words(2)[0]) == 15  # all non-identity words on 2 qubits
+
+
+def test_fixed_pool_words_are_cached_read_only_arrays():
+    for pool in (two_qubit_pauli_pool(), fermionic_sd_pool()):
+        first = pool.words(5)
+        assert pool.words(5) is first
+        for a in first:
+            assert a.dtype == np.uint64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+    with pytest.raises(ValueError, match="not enumerable"):
+        pool_gradients(Operator.from_labels({"XX": 1.0}), PurifiedReference((1, 1)), dis_pool(), top=1)
+
+
+def test_second_fermionic_pool_call_enumerates_no_excitations(monkeypatch):
+    import iqcc.fermion as fermion_mod
+
+    h = Operator.from_labels({"XXYYII": 0.3, "XZXIII": -0.2, "ZIIIII": 1.0})
+    ref = PurifiedReference((1, -1, 1, 1, -1, 1))
+    first = pool_gradients(h, ref, fermionic_sd_pool(), top=50)
+    calls = []
+    orig = fermion_mod._ladder_terms
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(fermion_mod, "_ladder_terms", counting)
+    assert pool_gradients(h, ref, fermionic_sd_pool(), top=50) == first
+    assert calls == []
 
 
 def test_pool_gradients_even_y_score_zero(rng):
