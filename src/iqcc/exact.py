@@ -1,28 +1,29 @@
-"""Matrix-free statevector engine and exact ground-state solvers.
+"""Statevector engine and exact ground-state solvers.
 
 State vectors are plain numpy arrays of length 2**n; bit j of the basis
-index is qubit j (|1> is the -1 eigenstate of z).  Pauli words act by index
-permutation (x_mask), sign flips (z_mask) and i-phases (y letters), so no
-2**n x 2**n matrix is ever materialized except in the explicit dense paths.
-An operator whose every term has an even number of y letters is real
-symmetric and is handled in float64; any odd-y term makes it complex128.
+index is qubit j (|1> is the -1 eigenstate of z).  A Pauli word sends basis
+state i to i ^ x_mask with a sign and an i-phase, so h is a sparse matrix
+with one entry per row and flip run (terms of one x_mask).  It is real
+symmetric (float64) unless a term has an odd number of y letters (complex128).
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .pauli import DimensionError, Operator, PauliWord, flip_runs, parity_signs, phase_value
+from .pauli import DimensionError, Operator, PauliWord, parity_signs
 
 DENSE_QUBIT_LIMIT = 10
 ITERATIVE_QUBIT_LIMIT = 16
 
-# Above this many amplitude-array entries the matvec recomputes diagonal
-# factors per call instead of caching one vector per flip group.
+# Above this many stored entries (rows x flip runs, 12 bytes each when real)
+# the matvec rebuilds the matrix row block by row block on every call.
 _DIAG_CACHE_ENTRIES = 1 << 25
+
+# Stored entries per row block, which bounds the build's temporaries.
+_BLOCK_ENTRIES = 1 << 18
 
 # Seed of the fixed start vector of the iterative solve.
 _V0_SEED = 7
@@ -39,54 +40,61 @@ def _check_dim(vec: np.ndarray, n_qubits: int) -> None:
 
 def apply_word(vec: np.ndarray, w: PauliWord) -> np.ndarray:
     """Apply one Pauli word to a state vector (norm-preserving)."""
-    _check_dim(vec, w.n_qubits)
-    return make_matvec(Operator(w.n_qubits, [(w, 1.0)]))(vec)
+    return apply_operator(Operator(w.n_qubits, [(w, 1.0)]), vec)
 
 
-def _dtype(h: Operator) -> type:
-    """float64 when no term of h has an odd number of y letters, else complex128."""
-    odd_y = np.bitwise_count(h.x_masks & h.z_masks) & 1
-    return np.complex128 if odd_y.any() else np.float64
+class _MatrixRows:
+    """Rows of the matrix of h as CSR blocks, built `block` rows at a time.
 
-
-def _run_diagonal(idx: np.ndarray, x: int, zs: np.ndarray, cs: np.ndarray, dtype: type) -> np.ndarray:
-    """Diagonal that, applied before the x permutation, gives one flip run's terms.
-
-    Sums c * i**(#y) * (-1)**popcount(idx & z) over the run's (z, c) pairs.
+    Row i holds, per flip run in ascending x order, column i ^ x and value
+    <i|h|i ^ x>: the run's c * (-i)**#y * (-1)**popcount(i & z) summed in
+    term order, slot by slot (the k-th terms of all runs, longest runs
+    first), so an entry has the same bits in every block.  A block is a
+    power of two rows, so the sign is the block start's times a [terms x
+    block] table of the offsets' (with c * (-i)**#y folded in).
     """
-    d = np.zeros(idx.size, dtype=dtype)
-    for z, c in zip(zs, cs):
-        z = int(z)
-        phase = phase_value((x & z).bit_count())
-        d += (c * phase) * parity_signs(idx, z)
-    return d
+
+    def __init__(self, h: Operator):
+        xs, zs = h.x_masks, h.z_masks
+        self.run_x, first, run, counts = np.unique(xs, return_index=True, return_inverse=True, return_counts=True)
+        slot = np.arange(len(xs)) - first[run]
+        self.dim, self.runs = 1 << h.n_qubits, len(counts)
+        self.block = 1 << min(h.n_qubits, max(0, (_BLOCK_ENTRIES // max(self.runs, 1)).bit_length() - 1))
+        self.rank = np.argsort(np.argsort(-counts, kind="stable"))  # run -> place, longest first
+        order = np.lexsort((self.rank[run], slot))
+        self.edges = np.searchsorted(slot[order], np.arange(counts.max(initial=0) + 1))
+        self.zs = zs[order]
+        phase = np.array([1, -1j, -1, 1j])[np.bitwise_count(xs & zs)[order] & 3]
+        coef = h.coefficients[order] * (phase if phase.imag.any() else phase.real)
+        self.low = coef[:, None] * parity_signs(np.arange(self.block, dtype=np.uint64), self.zs[:, None])
+
+    def __call__(self, start: int, stop: int) -> csr_array:
+        """Rows start..stop-1 (multiples of the block) as a CSR matrix; its
+        int32 indices suffice, since 2**31 entries would take 24 GB."""
+        shape = ((stop - start) // self.block, self.block, self.runs)
+        data, cols = np.empty(shape, dtype=self.low.dtype), np.empty(shape, dtype=np.int32)
+        for k, s in enumerate(range(start, stop, self.block)):
+            d = np.zeros((self.runs, self.block), dtype=data.dtype)
+            high = parity_signs(np.uint64(s), self.zs[:, None])
+            for a, b in zip(self.edges, self.edges[1:]):
+                d[: b - a] += high[a:b] * self.low[a:b]
+            data[k] = d[self.rank].T
+            cols[k] = np.arange(s, s + self.block, dtype=np.uint64)[:, None] ^ self.run_x
+        indptr = np.arange(stop - start + 1, dtype=np.int32) * self.runs
+        return csr_array((data.ravel(), cols.ravel(), indptr), shape=(stop - start, self.dim))
 
 
 def make_matvec(h: Operator):
     """Closure computing h @ v; reused across Krylov iterations.
 
-    Terms sharing an x_mask share one index permutation; their z-signs and
-    y-phases are folded into a cached diagonal vector when memory allows.
-    The result is real for a real h and a real v.
+    Keeps the CSR matrix of h up to _DIAG_CACHE_ENTRIES entries, else rebuilds
+    it block by block per call, with the same bits; real for real h and v.
     """
-    dim = 1 << h.n_qubits
-    idx = np.arange(dim, dtype=np.int64)
-    zs, cs = h.z_masks, h.coefficients
-    dtype = _dtype(h)
-    runs = flip_runs(h)
-    cache = 0 < len(runs) * dim <= _DIAG_CACHE_ENTRIES
-    groups = []
-    for x, sl in runs:
-        diag = partial(_run_diagonal, idx, x, zs[sl], cs[sl], dtype)
-        groups.append((idx ^ x, diag() if cache else diag))
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(dim, dtype=np.result_type(dtype, v.dtype))
-        for perm, diag in groups:
-            out += ((diag if cache else diag()) * v)[perm]
-        return out
-
-    return matvec
+    rows = _MatrixRows(h)
+    if rows.runs * rows.dim <= _DIAG_CACHE_ENTRIES:
+        mat = rows(0, rows.dim)
+        return lambda v: mat @ v
+    return lambda v: np.concatenate([rows(s, s + rows.block) @ v for s in range(0, rows.dim, rows.block)])
 
 
 def apply_operator(h: Operator, vec: np.ndarray) -> np.ndarray:
@@ -106,22 +114,15 @@ def expectation(vec: np.ndarray, h: Operator) -> float:
 
 def dense_matrix(h: Operator) -> np.ndarray:
     """Dense 2**n x 2**n matrix of h (exponential; intended for n <= ~12)."""
-    n = h.n_qubits
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    dtype = _dtype(h)
-    mat = np.zeros((dim, dim), dtype=dtype)
-    for x, sl in flip_runs(h):
-        mat[idx ^ x, idx] = _run_diagonal(idx, x, h.z_masks[sl], h.coefficients[sl], dtype)
-    return mat
+    return _MatrixRows(h)(0, 1 << h.n_qubits).toarray()
 
 
 def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
     """Lowest eigenvalue and a normalized eigenvector of h.
 
     mode "dense" diagonalizes the full matrix (n <= 10); "iterative" runs
-    ARPACK's implicitly restarted Lanczos (`eigsh`) on the matrix-free
-    operator (n <= 16) from a fixed start vector and checks the residual
+    ARPACK's implicitly restarted Lanczos (`eigsh`) over `make_matvec`
+    (n <= 16) from a fixed start vector and checks the residual
     ||hv - ev|| < 1e-9; "auto" picks whichever budget admits.  Both work in
     float64 for real h.  Raises BudgetError beyond both budgets and
     ArithmeticError when the iterative solve stalls or misses the residual.
@@ -148,7 +149,7 @@ def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
 def _arpack_lowest(h: Operator) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of h by eigsh over make_matvec, residual checked."""
     dim = 1 << h.n_qubits
-    dtype = _dtype(h)
+    dtype = np.complex128 if (np.bitwise_count(h.x_masks & h.z_masks) & 1).any() else np.float64
     matvec = make_matvec(h)
     v0 = np.random.default_rng(_V0_SEED).standard_normal(dim).astype(dtype)
     op = LinearOperator((dim, dim), matvec=matvec, dtype=dtype)

@@ -168,14 +168,21 @@ def write_integrals(data: IntegralData, stream: TextIO) -> None:
 # -- fermion-to-qubit mappings ---------------------------------------------------
 
 
+def _qubit_bits(n: int) -> np.ndarray:
+    """1 << j for the n qubits of a Majorana table; uint64 masks hold at most MAX_QUBITS."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"{n} spin-orbitals need more than {MAX_QUBITS} qubits")
+    return np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+
+
 def _jw_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
-    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    bit = _qubit_bits(n)
     below = bit - np.uint64(1)
     return np.stack([bit, bit]), np.stack([below, below | bit])
 
 
 def _parity_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
-    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    bit = _qubit_bits(n)
     from_bit = ~(bit - np.uint64(1)) & np.uint64((1 << n) - 1)
     return np.stack([from_bit, from_bit]), np.stack([bit >> np.uint64(1), bit])
 

@@ -52,18 +52,6 @@ class PauliWord:
             raise ValueError("mask has bits outside the qubit range")
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliWord":
-        return cls(n_qubits, 0, 0)
-
-    @classmethod
-    def single(cls, n_qubits: int, qubit: int, letter: str) -> "PauliWord":
-        """Word with one non-identity letter at `qubit`."""
-        if not 0 <= qubit < n_qubits:
-            raise ValueError(f"qubit {qubit} out of range")
-        xb, zb = _BITS_OF_LETTER[letter.upper()]
-        return cls(n_qubits, xb << qubit, zb << qubit)
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliWord":
         """Build from a letter string, qubit 0 leftmost (e.g. "XZYI")."""
         x = z = 0

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from iqcc.fermion import IntegralData
-from iqcc.pauli import Operator, PauliWord, anticommuting, commutator_half, parity_signs
+from iqcc.pauli import Operator, PauliWord, anticommuting, commutator_half, flip_runs, parity_signs, phase_value
 from iqcc.product_state import BlochState, PurifiedReference, energy
 from iqcc.screening import GradientGroup, partition_sectors
 
@@ -157,6 +157,19 @@ def reference_expectation(ref: PurifiedReference, h: Operator) -> float:
     if not diag.any():
         return 0.0
     return float(h.coefficients[diag] @ parity_signs(h.z_masks[diag], np.uint64(ref.minus_mask)))
+
+
+def run_matvec(h: Operator, v: np.ndarray) -> np.ndarray:
+    """h @ v for a real h, flip run by flip run in ascending x, each run's
+    diagonal summed in term order: the order whose bits the sparse matvec keeps."""
+    idx = np.arange(v.size, dtype=np.uint64)
+    out = np.zeros(v.size, dtype=np.result_type(v.dtype, np.float64))
+    for x, sl in flip_runs(h):
+        diag = np.zeros(v.size)
+        for z, c in zip(h.z_masks[sl], h.coefficients[sl]):
+            diag += (c * phase_value((x & int(z)).bit_count())) * parity_signs(idx, z)
+        out += (diag * v)[idx ^ np.uint64(x)]
+    return out
 
 
 def sector_gradient(h: Operator, p: PauliWord, ref: PurifiedReference) -> float:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqcc.compression import compress
 from iqcc.pauli import Operator, PauliWord, frobenius_norm
@@ -107,3 +109,33 @@ def test_compress_retains_ties():
     out, report = compress(h, eps)
     assert len(out) == 4
     assert report.dropped_norm == 0.0
+
+
+@st.composite
+def operator_and_epsilon(draw):
+    n = draw(st.integers(1, 5))
+    word = st.builds(PauliWord, st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    # magnitudes from a few decades, so that ties at the cut are common
+    coeff = st.builds(lambda s, k: s * 10.0**k, st.sampled_from([-1.0, 1.0]), st.integers(-4, 0))
+    terms = draw(st.lists(st.tuples(word, st.one_of(coeff, st.floats(-1.0, 1.0))), max_size=16))
+    # a budget between j and j + 1 dropped terms of magnitude 10**k puts the cut inside a tie
+    amid = st.builds(lambda k, j: 10.0**k * math.sqrt((j + 0.5) * 2**n), st.integers(-4, 0), st.integers(0, 3))
+    return Operator(n, terms), draw(st.one_of(st.floats(1e-4, 10.0), amid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_and_epsilon())
+def test_compress_matches_dense_oracle(case):
+    h, epsilon = case
+    out, report = compress(h, epsilon)
+    assert report.dropped_norm <= epsilon
+    shift = np.linalg.eigvalsh(dense_op(h)) - np.linalg.eigvalsh(dense_op(out))
+    assert np.abs(shift).max() <= report.dropped_norm + 1e-12
+    identity = PauliWord(h.n_qubits, 0, 0)
+    assert out.coefficient(identity) == h.coefficient(identity)
+    kept = {w: c for w, c in out}
+    assert all(h.coefficient(w) == c for w, c in kept.items())
+    dropped = [abs(c) for w, c in h if w not in kept]
+    droppable_kept = [abs(c) for w, c in kept.items() if not w.is_identity]
+    # every dropped term is strictly smaller than every kept one: ties at the cut stay
+    assert not dropped or not droppable_kept or max(dropped) < min(droppable_kept)

@@ -1,9 +1,13 @@
 """Statevector engine and exact solvers against dense Kronecker oracles."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from iqcc import exact
@@ -15,7 +19,7 @@ from iqcc.exact import (
     expectation,
     ground_state,
 )
-from iqcc.pauli import Operator, PauliWord
+from iqcc.pauli import Operator, PauliWord, y_parity
 
 from conftest import (
     dense_op,
@@ -24,6 +28,7 @@ from conftest import (
     random_operator,
     random_real_operator,
     random_word,
+    run_matvec,
 )
 
 
@@ -78,8 +83,47 @@ def test_uncached_matvec_matches_cached(rng, monkeypatch):
     v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     cached = [exact.make_matvec(h)(v) for h in ops]
     monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", 0)
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 64)
     for h, out in zip(ops, cached):
+        assert exact._MatrixRows(h).block <= 8  # rebuilt in four or more row blocks
         assert np.array_equal(exact.make_matvec(h)(v), out)
+
+
+@st.composite
+def operator_vector_word(draw):
+    n = draw(st.integers(1, 6))
+    mask = st.integers(0, (1 << n) - 1)
+    xs = draw(st.lists(mask, min_size=1, max_size=4))  # few x masks, so that flip runs are long
+    word = st.builds(PauliWord, st.just(n), st.sampled_from(xs), mask)
+    terms = draw(st.lists(st.tuples(word, st.floats(-2.0, 2.0)), max_size=20))
+    if draw(st.booleans()):  # keep only even-y words: a real symmetric h
+        terms = [(w, c) for w, c in terms if not y_parity(w)]
+    v = draw(arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0)))
+    if draw(st.booleans()):
+        v = v + 1j * draw(arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0)))
+    return Operator(n, terms), v, PauliWord(n, draw(mask), draw(mask))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_vector_word())
+def test_matvec_matches_dense_oracle(case):
+    # both sides of the cache budget, the dense matrix and apply_word against Kronecker products
+    h, v, w = case
+    real = not any(y_parity(t) for t, _ in h)
+    kept = exact.make_matvec(h)(v)
+    with mock.patch.object(exact, "_DIAG_CACHE_ENTRIES", 0), mock.patch.object(exact, "_BLOCK_ENTRIES", 1):
+        rebuilt = exact.make_matvec(h)(v)
+    assert kept.dtype == rebuilt.dtype == (np.float64 if real and v.dtype == np.float64 else np.complex128)
+    assert np.array_equal(kept, rebuilt)
+    assert np.allclose(kept, dense_op(h) @ v, rtol=0.0, atol=1e-12)
+    if real:
+        assert np.array_equal(kept, run_matvec(h, v))
+    mat = dense_matrix(h)
+    assert mat.dtype == (np.float64 if real else np.complex128)
+    assert np.allclose(mat, dense_op(h), rtol=0.0, atol=1e-12)
+    out = apply_word(v, w)
+    assert out.dtype == (np.float64 if not y_parity(w) and v.dtype == np.float64 else np.complex128)
+    assert np.allclose(out, dense_word(w) @ v, rtol=0.0, atol=1e-12)
 
 
 def test_dense_matrix_matches_kron_oracle(rng):

@@ -97,6 +97,17 @@ def test_orbital_count_beyond_64_qubits_is_rejected():
             mapping(data)
 
 
+@pytest.mark.parametrize("n_so", [66, 200])
+def test_majorana_tables_reject_more_than_64_qubits(n_so):
+    # uint64 masks shifted past bit 63 would wrap into wrong words
+    for mapping in ("jw", "parity"):
+        for kind in ("n", "s2"):
+            with pytest.raises(ValueError, match="more than 64 qubits"):
+                build_symmetry_operator(kind, n_so, mapping)
+    with pytest.raises(ValueError, match="more than 64 qubits"):
+        excitation_words(n_so)
+
+
 def test_integrals_roundtrip_bit_exact(rng):
     data = random_integrals(rng, 3)
     buf = io.StringIO()
