@@ -48,10 +48,8 @@ def compress(h: Operator, epsilon: float) -> tuple[Operator, CompressionReport]:
     budget = epsilon * epsilon / 2.0**h.n_qubits
     tail = np.cumsum(cs[cand] ** 2)
     k = int(np.searchsorted(tail, budget, side="right"))
-    # retain every term tied with the first kept magnitude
-    cand_mags = mags[cand]
-    while k > 0 and k < len(cand) and cand_mags[k - 1] == cand_mags[k]:
-        k -= 1
+    if 0 < k < len(cand):  # retain every term tied with the first kept magnitude
+        k = int(np.searchsorted(mags[cand], mags[cand[k]], side="left"))
 
     if k == 0:
         return h, CompressionReport(epsilon, m, m, 0.0)

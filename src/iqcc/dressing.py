@@ -34,6 +34,8 @@ class DressingStep:
     tau: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.tau):
+            raise ValueError(f"amplitude tau must be finite, got {self.tau}")
         object.__setattr__(self, "tau", _reduce_angle(float(self.tau)))
 
 

@@ -48,25 +48,22 @@ class _MatrixRows:
 
     Row i holds, per flip run in ascending x order, column i ^ x and value
     <i|h|i ^ x>: the run's c * (-i)**#y * (-1)**popcount(i & z) summed in
-    term order, slot by slot (the k-th terms of all runs, longest runs
-    first), so an entry has the same bits in every block.  A block is a
-    power of two rows, so the sign is the block start's times a [terms x
-    block] table of the offsets' (with c * (-i)**#y folded in).
+    term order by one CSR product of the run-by-term incidence matrix with a
+    [terms x block] sign table.  A block is a power of two rows, so the sign is
+    the block start's times a table of the offsets' (c * (-i)**#y folded in).
     """
 
     def __init__(self, h: Operator):
-        xs, zs = h.x_masks, h.z_masks
-        self.run_x, first, run, counts = np.unique(xs, return_index=True, return_inverse=True, return_counts=True)
-        slot = np.arange(len(xs)) - first[run]
-        self.dim, self.runs = 1 << h.n_qubits, len(counts)
+        xs, self.zs = h.x_masks, h.z_masks
+        self.run_x, first = np.unique(xs, return_index=True)
+        self.dim, self.runs, terms = 1 << h.n_qubits, len(first), len(xs)
         self.block = 1 << min(h.n_qubits, max(0, (_BLOCK_ENTRIES // max(self.runs, 1)).bit_length() - 1))
-        self.rank = np.argsort(np.argsort(-counts, kind="stable"))  # run -> place, longest first
-        order = np.lexsort((self.rank[run], slot))
-        self.edges = np.searchsorted(slot[order], np.arange(counts.max(initial=0) + 1))
-        self.zs = zs[order]
-        phase = np.array([1, -1j, -1, 1j])[np.bitwise_count(xs & zs)[order] & 3]
-        coef = h.coefficients[order] * (phase if phase.imag.any() else phase.real)
+        phase = np.array([1, -1j, -1, 1j])[np.bitwise_count(xs & self.zs) & 3]
+        coef = h.coefficients * (phase if phase.imag.any() else phase.real)
         self.low = coef[:, None] * parity_signs(np.arange(self.block, dtype=np.uint64), self.zs[:, None])
+        # the canonical terms of one run are contiguous and in term order
+        indptr = np.append(first, terms)
+        self.incidence = csr_array((np.ones(terms, self.low.dtype), np.arange(terms), indptr), (self.runs, terms))
 
     def __call__(self, start: int, stop: int) -> csr_array:
         """Rows start..stop-1 (multiples of the block) as a CSR matrix; its
@@ -74,11 +71,7 @@ class _MatrixRows:
         shape = ((stop - start) // self.block, self.block, self.runs)
         data, cols = np.empty(shape, dtype=self.low.dtype), np.empty(shape, dtype=np.int32)
         for k, s in enumerate(range(start, stop, self.block)):
-            d = np.zeros((self.runs, self.block), dtype=data.dtype)
-            high = parity_signs(np.uint64(s), self.zs[:, None])
-            for a, b in zip(self.edges, self.edges[1:]):
-                d[: b - a] += high[a:b] * self.low[a:b]
-            data[k] = d[self.rank].T
+            data[k] = (self.incidence @ (parity_signs(np.uint64(s), self.zs[:, None]) * self.low)).T
             cols[k] = np.arange(s, s + self.block, dtype=np.uint64)[:, None] ^ self.run_x
         indptr = np.arange(stop - start + 1, dtype=np.int32) * self.runs
         return csr_array((data.ravel(), cols.ravel(), indptr), shape=(stop - start, self.dim))

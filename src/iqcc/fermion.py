@@ -27,6 +27,7 @@ import numpy as np
 
 from . import exact
 from .pauli import MAX_QUBITS, DimensionError, Operator, ParseError, frozen, parity_signs, word_products
+from .pauli import _canonical_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +61,8 @@ class IntegralData:
             raise ValueError(f"n_spatial must be in [1, {MAX_QUBITS // 2}] (two qubits per orbital), got {n}")
         if self.h.shape != (n, n) or self.g.shape != (n, n, n, n):
             raise ValueError("integral tensor shapes do not match n_spatial")
+        if not (np.isfinite(self.h).all() and np.isfinite(self.g).all() and math.isfinite(self.e_core)):
+            raise ValueError("integrals and core energy must be finite")
         if not np.allclose(self.h, self.h.T):
             raise ValueError("one-electron integrals are not symmetric")
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
@@ -195,9 +198,10 @@ def _ladder_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Words and complex coefficients of weights[r] * a(orbitals[r, 0]) ... a(orbitals[r, k-1]).
 
-    `daggers[t]` marks factor t as a creator.  Duplicate words within a row
-    are merged exactly (each expanded coefficient is i**e / 2**k); the output
-    is grouped by row in row order, so per-word sums follow the row order.
+    `daggers[t]` marks factor t as a creator.  Each expanded coefficient is
+    i**e / 2**k, so duplicate words within a row are merged by integer sums,
+    exact in any order; the output is grouped by row in row order, so
+    `_realize` sums each word's terms in row order.
     """
     tx, tz = table
     m, k = orbitals.shape
@@ -223,22 +227,16 @@ def _ladder_terms(
 
 
 def _realize(n: int, *terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Operator:
-    """Real Operator summing each word's contributions in the order given.
+    """Real Operator of the summed terms, whose imaginary parts must cancel.
 
-    np.add.at adds sequentially (np.add.reduceat would sum pairwise), so each
-    coefficient is rounded as a running sum over the terms in order.
+    Both parts go through the canonical merge, so each coefficient is a
+    running sum over the terms in the order given.
     """
     xs, zs, cs = (np.concatenate(a) for a in zip(*terms))
-    order = np.lexsort((zs, xs))  # stable: each word's contributions keep their order
-    xs, zs = xs[order], zs[order]
-    first = np.ones(len(xs), dtype=bool)
-    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
-    sums = np.zeros(int(first.sum()), dtype=complex)
-    np.add.at(sums, np.cumsum(first) - 1, cs[order])
-    worst = float(np.abs(sums.imag).max(initial=0.0))
-    if worst > _REALITY_TOL:
-        raise ArithmeticError(f"mapped operator has imaginary weight {worst:g}")
-    return Operator._from_raw(n, xs[first], zs[first], sums.real)
+    residue = _canonical_arrays(xs, zs, cs.imag, _REALITY_TOL)[2]
+    if len(residue):
+        raise ArithmeticError(f"mapped operator has imaginary weight {np.abs(residue).max():g}")
+    return Operator._from_raw(n, xs, zs, cs.real)
 
 
 def _map_hamiltonian(data: IntegralData, mapping: str) -> Operator:
@@ -331,8 +329,8 @@ def build_symmetry_operator(kind: str, n_so: int, mapping: str = "jw") -> Operat
 
 def spin_penalize(h: Operator, s2: Operator, mu: float) -> Operator:
     """h + (mu/2) * s2, steering the search toward the singlet sector."""
-    if mu <= 0.0:
-        raise ValueError(f"penalty strength mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"penalty strength mu must be finite and positive, got {mu}")
     if h.n_qubits != s2.n_qubits:
         raise DimensionError("Hamiltonian and penalty operator qubit counts differ")
     return h + (mu / 2.0) * s2

@@ -11,6 +11,9 @@ form: terms sorted lexicographically by (x_mask, z_mask), duplicate words
 summed, coefficients below MERGE_TOL dropped.  Internally an operator holds
 three parallel numpy arrays, which the heavier routines (commutators,
 conjugation, dressing) operate on directly.
+
+Summation rule: coefficients that land on one word are added as a running
+sum in input order (np.bincount here; a CSR product in the exact oracle).
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _canonical_arrays(
     xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, tol: float = MERGE_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort by (x, z), merge duplicates, drop dust."""
+    """Sort by (x, z) (stably), merge duplicates as running sums, drop dust."""
     if len(xs) == 0:
         return xs, zs, cs
     order = np.lexsort((zs, xs))
@@ -166,7 +169,7 @@ def _canonical_arrays(
     first[0] = True
     first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
     starts = np.flatnonzero(first)
-    sums = np.add.reduceat(cs, starts)
+    sums = np.bincount(np.cumsum(first) - 1, weights=cs)
     keep = np.abs(sums) >= tol
     return xs[starts][keep], zs[starts][keep], sums[keep]
 
@@ -293,6 +296,8 @@ class Operator:
         return self + (-1.0) * other
 
     def __mul__(self, scale: float) -> "Operator":
+        if not math.isfinite(scale):
+            raise ValueError(f"operator scale must be finite, got {scale}")
         cs = self._cs * float(scale)
         keep = np.abs(cs) >= MERGE_TOL
         return Operator._from_canonical(self.n_qubits, self._xs[keep], self._zs[keep], cs[keep])

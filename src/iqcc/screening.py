@@ -68,7 +68,9 @@ def _gradients(h: Operator, ref: PurifiedReference, px: np.ndarray, pz: np.ndarr
     nonempty flip set meets one flip run of h.  Each anticommuting term c*w
     of that run contributes +-c times the reference's z sign of w*p, summed
     by one dot product in ascending z order of w*p, the order of the
-    canonical commutator operator.
+    canonical commutator operator.  The sum is BLAS's dot, not a running sum:
+    the two can differ in the last bit from 16 terms on, and the screening
+    results are pinned bit for bit to this kernel.
     """
     if h.n_qubits != ref.n_qubits:
         raise DimensionError("reference/operator qubit mismatch")

@@ -154,6 +154,12 @@ def test_rotation_kernels_match_dense_oracle(case):
     assert np.allclose(dense_op(commutator_half(h, p)), -0.5j * (hd @ pd - pd @ hd), atol=1e-12)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+def test_dressing_step_rejects_non_finite_amplitude(tau):
+    with pytest.raises(ValueError, match="finite"):
+        DressingStep(PauliWord.from_label("Y"), tau)
+
+
 def test_amplitude_range_reduction():
     p = PauliWord.from_label("Y")
     assert DressingStep(p, 3 * math.pi).tau == pytest.approx(math.pi)

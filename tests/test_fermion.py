@@ -12,6 +12,9 @@ from iqcc.exact import BudgetError, ground_state
 from iqcc.fermion import (
     IntegralData,
     QubitAssignment,
+    _jw_majoranas,
+    _ladder_terms,
+    _realize,
     build_symmetry_operator,
     choose_sector,
     excitation_words,
@@ -142,6 +145,16 @@ def test_jw_hopping_term():
     assert h.coefficient(PauliWord.from_label("IIXX")) == pytest.approx(0.15)
     hd = dense_op(h)
     assert np.allclose(hd, determinant_hamiltonian(data), atol=1e-12)
+
+
+def test_realize_rejects_imaginary_residue():
+    # a lone hopping term a+_0 a_1 is not Hermitian, so its image has imaginary weight
+    table = _jw_majoranas(2)
+    hop = _ladder_terms(table, np.array([[0, 1]]), (True, False), np.ones(1))
+    with pytest.raises(ArithmeticError, match="imaginary weight"):
+        _realize(2, hop)
+    back = _ladder_terms(table, np.array([[1, 0]]), (True, False), np.ones(1))
+    assert _realize(2, hop, back) == Operator.from_labels({"XX": 0.5, "YY": 0.5})
 
 
 def test_parity_single_orbital_number_operator():
@@ -363,6 +376,26 @@ def test_spin_penalty_validation(rng):
         spin_penalize(h, s2, 0.0)
     with pytest.raises(ValueError):
         spin_penalize(h, s2, -0.1)
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+def test_spin_penalty_rejects_non_finite_mu(rng, mu):
+    h = jordan_wigner(random_integrals(rng, 2))
+    s2 = build_symmetry_operator("s2", 4, "jw")
+    with pytest.raises(ValueError, match="finite"):
+        spin_penalize(h, s2, mu)
+
+
+@pytest.mark.parametrize("field, value", [("h", float("inf")), ("g", float("nan")), ("e_core", float("nan"))])
+def test_mappings_reject_non_finite_integrals(rng, field, value):
+    data = random_integrals(rng, 2)
+    if field == "e_core":
+        data.e_core = value
+    else:
+        getattr(data, field).fill(value)  # keeps the tensor's symmetry
+    for mapping in (jordan_wigner, parity_map):
+        with pytest.raises(ValueError, match="finite"):
+            mapping(data)
 
 
 def test_spin_penalty_small_mu_limit(rng):

@@ -161,6 +161,19 @@ def test_operator_cancellation_is_empty():
     assert (h + (-1.0) * h).is_empty
 
 
+def test_operator_sums_duplicates_as_a_running_sum():
+    # each word's terms are added left to right, not pairwise
+    x = PauliWord.from_label("X")
+    assert Operator(1, [(x, 1e16), (x, 1.0), (x, -1e16), (x, 1.0)]).coefficients.tolist() == [1.0]
+    assert Operator(1, [(x, 0.1)] * 10).coefficient(x) == sum([0.1] * 10) == 0.9999999999999999
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+def test_operator_rejects_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="finite"):
+        Operator.from_labels({"ZZ": 1.0, "XI": 0.5}) * scale
+
+
 def test_operator_drops_dust():
     h = Operator.from_labels({"XX": 1e-13, "ZZ": 1.0})
     assert len(h) == 1
