@@ -8,7 +8,10 @@ products then carry an explicit power of i, returned as an exponent mod 4.
 
 Operators are real linear combinations of words kept in a canonical merged
 form: terms sorted lexicographically by (x_mask, z_mask), duplicate words
-summed, coefficients below MERGE_TOL dropped.  Internally an operator holds
+summed, coefficients below MERGE_TOL dropped.  The sort is one stable
+argsort of the packed key (x << s) | z, s the bit length of the largest z;
+only when that key would need more than 64 bits (above 32 qubits) does a
+two-key lexsort take over.  Internally an operator holds
 three parallel numpy arrays, which the heavier routines (commutators,
 conjugation, dressing) operate on directly.
 
@@ -160,18 +163,31 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _canonical_arrays(
     xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, tol: float = MERGE_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort by (x, z) (stably), merge duplicates as running sums, drop dust."""
+    """Sort by (x, z) (stably), merge duplicates as running sums, drop dust.
+
+    The order is that of one packed key (x << s) | z, s the bit length of the
+    largest z, which sorts exactly as (x, z) because every z < 2**s.  Input
+    whose key needs more than 64 bits (possible only above 32 qubits) is
+    sorted by a two-key lexsort instead.
+    """
     if len(xs) == 0:
         return xs, zs, cs
-    order = np.lexsort((zs, xs))
-    xs, zs, cs = xs[order], zs[order], cs[order]
-    first = np.empty(len(xs), dtype=bool)
-    first[0] = True
-    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    shift = int(zs.max()).bit_length()
+    if int(xs.max()).bit_length() + shift <= 64:
+        key = (xs << np.uint64(shift)) | zs
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new_word = key[1:] != key[:-1]
+    else:
+        order = np.lexsort((zs, xs))
+        xo, zo = xs[order], zs[order]
+        new_word = (xo[1:] != xo[:-1]) | (zo[1:] != zo[:-1])
+    first = np.concatenate(([True], new_word))
     starts = np.flatnonzero(first)
-    sums = np.bincount(np.cumsum(first) - 1, weights=cs)
+    sums = np.bincount(np.cumsum(first) - 1, weights=cs[order])
     keep = np.abs(sums) >= tol
-    return xs[starts][keep], zs[starts][keep], sums[keep]
+    rows = order[starts[keep]]
+    return xs[rows], zs[rows], sums[keep]
 
 
 class Operator:

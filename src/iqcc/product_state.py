@@ -90,10 +90,13 @@ def _check_state(s: BlochState, n_qubits: int) -> None:
 def _letter_codes(h: Operator) -> np.ndarray:
     """[terms x qubits] column 4j + x + 2z of term t's letter on qubit j in the
     rows of `_bloch_tables` (letter code 0 = I, 1 = x, 2 = z, 3 = y)."""
-    shifts = np.arange(h.n_qubits, dtype=np.uint64)
-    x = (h.x_masks[:, None] >> shifts) & np.uint64(1)
-    z = (h.z_masks[:, None] >> shifts) & np.uint64(1)
-    return (x + 2 * z + 4 * shifts).astype(np.intp)
+    n = h.n_qubits
+
+    def bits(masks: np.ndarray) -> np.ndarray:
+        octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        return np.unpackbits(octets, axis=1, count=n, bitorder="little")
+
+    return bits(h.x_masks) + 2 * bits(h.z_masks) + 4 * np.arange(n, dtype=np.intp)
 
 
 def _bloch_tables(s: BlochState) -> np.ndarray:

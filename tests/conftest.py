@@ -19,7 +19,16 @@ import numpy as np
 import pytest
 
 from iqcc.fermion import IntegralData
-from iqcc.pauli import Operator, PauliWord, anticommuting, commutator_half, flip_runs, parity_signs, phase_value
+from iqcc.pauli import (
+    MERGE_TOL,
+    Operator,
+    PauliWord,
+    anticommuting,
+    commutator_half,
+    flip_runs,
+    parity_signs,
+    phase_value,
+)
 from iqcc.product_state import BlochState, PurifiedReference, energy
 from iqcc.screening import GradientGroup, partition_sectors
 
@@ -139,6 +148,33 @@ def op_allclose(a: Operator, b: Operator, tol: float = 1e-10) -> bool:
 #
 # Slower routes to results the package computes by other means, kept as the
 # references that the faster paths must match.
+
+
+def lexsort_canonical_arrays(
+    xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, tol: float = MERGE_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical merge sorted by a two-key lexsort on (x, z) (stably), duplicates
+    summed as running sums, dust dropped: the arrays and coefficient bits the
+    packed-key merge must reproduce."""
+    if len(xs) == 0:
+        return xs, zs, cs
+    order = np.lexsort((zs, xs))
+    xs, zs, cs = xs[order], zs[order], cs[order]
+    first = np.empty(len(xs), dtype=bool)
+    first[0] = True
+    first[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+    starts = np.flatnonzero(first)
+    sums = np.bincount(np.cumsum(first) - 1, weights=cs)
+    keep = np.abs(sums) >= tol
+    return xs[starts][keep], zs[starts][keep], sums[keep]
+
+
+def shift_letter_codes(h: Operator) -> np.ndarray:
+    """Letter-code table built by shifting every mask by every qubit."""
+    shifts = np.arange(h.n_qubits, dtype=np.uint64)
+    x = (h.x_masks[:, None] >> shifts) & np.uint64(1)
+    z = (h.z_masks[:, None] >> shifts) & np.uint64(1)
+    return (x + 2 * z + 4 * shifts).astype(np.intp)
 
 
 def symmetry_commutes(p: PauliWord, s: Operator) -> bool:

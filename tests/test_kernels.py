@@ -4,12 +4,16 @@ Words span up to 64 qubits, so the uint64 masks' top bit is exercised.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqcc.fermion import _REALITY_TOL
 from iqcc.pauli import (
+    MERGE_TOL,
     Operator,
     PauliWord,
+    _canonical_arrays,
     anticommuting,
     commutator_terms,
     commutes,
@@ -19,6 +23,8 @@ from iqcc.pauli import (
     parity_signs,
     word_products,
 )
+
+from conftest import lexsort_canonical_arrays
 
 N_QUBITS = st.integers(1, 64)
 
@@ -87,3 +93,44 @@ def test_parity_signs_match_bit_count(values, mask):
     signs = parity_signs(np.array(values, dtype=np.uint64), np.uint64(mask))
     assert signs.dtype == np.float64
     assert signs.tolist() == [(-1.0) ** (v & mask).bit_count() for v in values]
+
+
+# signed zeros, dust on each side of both merge tolerances, and ordinary values
+COEFFS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 5e-13, -5e-13, MERGE_TOL, 5e-11, -2e-10]))
+
+
+def _assert_same_canonical(got, want):
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_arrays_match_lexsort_reference(data):
+    n = data.draw(N_QUBITS)
+    masks = st.integers(0, (1 << n) - 1)
+    # terms drawn from a few words, so words repeat, in drawn (unsorted) order
+    pool = data.draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=6))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), COEFFS), max_size=40))
+    xs = np.array([x for (x, _), _ in terms], dtype=np.uint64)
+    zs = np.array([z for (_, z), _ in terms], dtype=np.uint64)
+    cs = np.array([c for _, c in terms], dtype=np.float64)
+    tol = data.draw(st.sampled_from([MERGE_TOL, _REALITY_TOL]))
+    _assert_same_canonical(_canonical_arrays(xs, zs, cs, tol), lexsort_canonical_arrays(xs, zs, cs, tol))
+
+
+@pytest.mark.parametrize("n, packed", [(32, True), (33, False)])
+def test_canonical_arrays_pack_keys_only_when_they_fit_in_64_bits(monkeypatch, n, packed):
+    # bit n - 1 set in x and z: the packed key needs 2n bits
+    rng = np.random.default_rng(n)
+    top = np.uint64(1 << (n - 1))
+    words = top | rng.integers(0, 1 << (n - 1), size=(6, 2), dtype=np.uint64)
+    picks = rng.integers(0, 6, size=60)
+    xs, zs = words[picks, 0], words[picks, 1]
+    cs = rng.choice([1.0, -1.0, 0.1, 5e-13, -0.0], size=60)
+    want = lexsort_canonical_arrays(xs, zs, cs)
+    lexsort, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+    _assert_same_canonical(_canonical_arrays(xs, zs, cs), want)
+    assert (not calls) == packed

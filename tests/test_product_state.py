@@ -12,6 +12,7 @@ from iqcc.pauli import DimensionError, Operator, PauliWord
 from iqcc.product_state import (
     BlochState,
     PurifiedReference,
+    _letter_codes,
     energy,
     energy_and_gradient,
     purify,
@@ -26,6 +27,7 @@ from conftest import (
     random_operator,
     random_word,
     reference_expectation,
+    shift_letter_codes,
 )
 
 
@@ -125,6 +127,20 @@ def test_gradient_handles_exact_zero_factors():
     h = Operator.from_labels({"XZX": 1.0, "IZX": 1.0})
     _, gt, _ = energy_and_gradient(BlochState(np.array([0.0, 1.0, 5e-324]), np.zeros(3)), h)
     assert gt == pytest.approx([0.0, 0.0, math.cos(1.0)], abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_letter_codes_match_shift_reference(data):
+    n = data.draw(st.integers(1, 64))
+    # the top qubit's bit (bit 63 at 64 qubits) set in some words
+    masks = st.one_of(st.integers(0, (1 << n) - 1), st.just(1 << (n - 1)), st.just((1 << n) - 1))
+    words = data.draw(st.lists(st.tuples(masks, masks), max_size=20))
+    h = Operator(n, [(PauliWord(n, x, z), 1.0) for x, z in words])
+    codes = _letter_codes(h)
+    want = shift_letter_codes(h)
+    assert codes.dtype == want.dtype == np.intp
+    assert codes.shape == want.shape and np.array_equal(codes, want)
 
 
 # exact poles make x, y or z factors exactly zero, one or several per term
