@@ -3,8 +3,8 @@ standalone screening/exact/compression tools, and plot-ready data export.
 
 Subcommands: map, run, screen, exact, compress.  All output files are
 deterministic for fixed seeds and inputs.  Exit codes: 0 success, 1 user
-error, 2 internal invariant violation.  The default output directory can
-be set with the IQCC_OUTDIR environment variable.
+error, 2 solver failure or internal invariant violation.  The default
+output directory can be set with the IQCC_OUTDIR environment variable.
 """
 
 from __future__ import annotations
@@ -330,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError, ValueError, exact.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:  # a stalled oracle, a missed residual, no finite optimizer start
+        print(f"error: solver failed: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # internal invariant violation
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -5,9 +5,19 @@ index is qubit j (|1> is the -1 eigenstate of z).  A Pauli word sends basis
 state i to i ^ x_mask with a sign and an i-phase, so h is a sparse matrix
 with one entry per row and flip run (terms of one x_mask).  It is real
 symmetric (float64) unless a term has an odd number of y letters (complex128).
+
+The matrix build and the matvec are shared out in chunks of whole row
+blocks between the calling thread and helper threads, one fewer than the
+CPUs in this process's affinity mask (`taskset` limits them).  Each output
+row is the same sum as on one thread, so every bit is unchanged.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, TypeVar
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -27,6 +37,64 @@ _BLOCK_ENTRIES = 1 << 18
 
 # Seed of the fixed start vector of the iterative solve.
 _V0_SEED = 7
+
+_T = TypeVar("_T")
+_pool: ThreadPoolExecutor | None = None  # helper threads, made on first use
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool (and its lock) in a forked child, which has none of the
+    parent's threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _shared(count: int, fn: Callable[[int], _T]) -> list[_T]:
+    """[fn(0), ..., fn(count - 1)], the indices handed out from one shared
+    iterator to the calling thread and up to cpus - 1 helper threads.
+
+    The caller does not wait for a helper that has not started by the time
+    the indices run out: it cancels it, so a helper whose CPU is busy delays
+    the result by at most the one index it took.
+    """
+    global _pool
+    out: list = [None] * count
+    todo, lock = iter(range(count)), threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            out[i] = fn(i)
+
+    cpus, futures = _cpus(), []
+    if min(cpus, count) > 1:
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="iqcc-exact")
+            futures = [_pool.submit(work) for _ in range(min(cpus, count) - 1)]
+    try:
+        work()
+    finally:
+        for f in futures:
+            if not f.cancel():
+                f.result()
+    return out
 
 
 class BudgetError(RuntimeError):
@@ -55,7 +123,8 @@ class _MatrixRows:
 
     def __init__(self, h: Operator):
         xs, self.zs = h.x_masks, h.z_masks
-        self.run_x, first = np.unique(xs, return_index=True)
+        run_x, first = np.unique(xs, return_index=True)
+        self.run_x = run_x.astype(np.int32)  # column offsets: int32 CSR indices
         self.dim, self.runs, terms = 1 << h.n_qubits, len(first), len(xs)
         self.block = 1 << min(h.n_qubits, max(0, (_BLOCK_ENTRIES // max(self.runs, 1)).bit_length() - 1))
         phase = np.array([1, -1j, -1, 1j])[np.bitwise_count(xs & self.zs) & 3]
@@ -72,7 +141,7 @@ class _MatrixRows:
         data, cols = np.empty(shape, dtype=self.low.dtype), np.empty(shape, dtype=np.int32)
         for k, s in enumerate(range(start, stop, self.block)):
             data[k] = (self.incidence @ (parity_signs(np.uint64(s), self.zs[:, None]) * self.low)).T
-            cols[k] = np.arange(s, s + self.block, dtype=np.uint64)[:, None] ^ self.run_x
+            np.bitwise_xor(np.arange(s, s + self.block, dtype=np.int32)[:, None], self.run_x, out=cols[k])
         indptr = np.arange(stop - start + 1, dtype=np.int32) * self.runs
         return csr_array((data.ravel(), cols.ravel(), indptr), shape=(stop - start, self.dim))
 
@@ -80,14 +149,21 @@ class _MatrixRows:
 def make_matvec(h: Operator):
     """Closure computing h @ v; reused across Krylov iterations.
 
-    Keeps the CSR matrix of h up to _DIAG_CACHE_ENTRIES entries, else rebuilds
-    it block by block per call, with the same bits; real for real h and v.
+    Up to _DIAG_CACHE_ENTRIES entries the CSR matrix of h is built once and
+    kept as one chunk of whole row blocks per CPU; above that every call
+    rebuilds it one row block at a time.  Either way `_shared` hands the
+    chunks' builds and products out to the calling thread and helper
+    threads.  Each output row is the same sum at every thread count, so the
+    bits are those of one CSR matrix; real for real h and v.
     """
     rows = _MatrixRows(h)
-    if rows.runs * rows.dim <= _DIAG_CACHE_ENTRIES:
-        mat = rows(0, rows.dim)
-        return lambda v: mat @ v
-    return lambda v: np.concatenate([rows(s, s + rows.block) @ v for s in range(0, rows.dim, rows.block)])
+    if rows.runs * rows.dim > _DIAG_CACHE_ENTRIES:
+        blocks = rows.dim // rows.block
+        return lambda v: np.concatenate(_shared(blocks, lambda i: rows(i * rows.block, (i + 1) * rows.block) @ v))
+    span = -(-rows.dim // (_cpus() * rows.block)) * rows.block
+    starts = range(0, rows.dim, span)
+    mats = _shared(len(starts), lambda i: rows(starts[i], min(starts[i] + span, rows.dim)))
+    return lambda v: np.concatenate(_shared(len(mats), lambda i: mats[i] @ v))
 
 
 def apply_operator(h: Operator, vec: np.ndarray) -> np.ndarray:

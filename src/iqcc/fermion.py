@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exact
 from .pauli import MAX_QUBITS, DimensionError, Operator, ParseError, frozen, parity_signs, word_products
-from .pauli import _canonical_arrays
+from .pauli import _canonical_arrays, _word_order
 
 logger = logging.getLogger(__name__)
 
@@ -213,16 +213,15 @@ def _ladder_terms(
         pick = (choice[:, t], orbitals[:, t, None])
         x, z, dk = word_products(x, z, tx[pick], tz[pick])
         e = e + dk
-    row = np.repeat(np.arange(m), 1 << k)
-    x, z, e = x.ravel(), z.ravel(), e.ravel() % 4
-    order = np.lexsort((z, x, row))
-    row, x, z, e = row[order], x[order], z[order], e[order]
-    first = np.ones(len(row), dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    # row r is the contiguous block r * 2**k .. (r + 1) * 2**k - 1 once raveled
+    order, new_word = _word_order(x, z)
+    x, z, e = (np.take_along_axis(a, order, 1).ravel() for a in (x, z, e % 4))
+    first = np.ones((m, 1 << k), dtype=bool)
+    first[:, 1:] = new_word
     starts = np.flatnonzero(first)
     re = np.add.reduceat(np.array([1, 0, -1, 0])[e], starts)  # integer sums: exact
     im = np.add.reduceat(np.array([0, 1, 0, -1])[e], starts)
-    w = weights[row[starts]] * 0.5**k
+    w = weights[starts >> k] * 0.5**k
     return x[starts], z[starts], w * re + 1j * (w * im)
 
 

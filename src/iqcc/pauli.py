@@ -160,28 +160,34 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _word_order(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable (x, z) order of the words along the last axis, and whether each
+    sorted word differs from the one before it.
+
+    The order is that of one packed key (x << s) | z, s the bit length of the
+    largest z, which sorts exactly as (x, z) because every z < 2**s.  Words
+    whose key needs more than 64 bits (possible only above 32 qubits) are
+    sorted by a two-key lexsort instead.
+    """
+    shift = int(zs.max(initial=0)).bit_length()
+    if int(xs.max(initial=0)).bit_length() + shift <= 64:
+        key = (xs << np.uint64(shift)) | zs
+        order = np.argsort(key, axis=-1, kind="stable")
+        key = np.take_along_axis(key, order, -1)
+        return order, key[..., 1:] != key[..., :-1]
+    order = np.lexsort((zs, xs))
+    xo, zo = np.take_along_axis(xs, order, -1), np.take_along_axis(zs, order, -1)
+    return order, (xo[..., 1:] != xo[..., :-1]) | (zo[..., 1:] != zo[..., :-1])
+
+
 def _canonical_arrays(
     xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, tol: float = MERGE_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort by (x, z) (stably), merge duplicates as running sums, drop dust.
-
-    The order is that of one packed key (x << s) | z, s the bit length of the
-    largest z, which sorts exactly as (x, z) because every z < 2**s.  Input
-    whose key needs more than 64 bits (possible only above 32 qubits) is
-    sorted by a two-key lexsort instead.
-    """
+    """Sort by (x, z) (stably, by `_word_order`), merge duplicates as running
+    sums, drop dust."""
     if len(xs) == 0:
         return xs, zs, cs
-    shift = int(zs.max()).bit_length()
-    if int(xs.max()).bit_length() + shift <= 64:
-        key = (xs << np.uint64(shift)) | zs
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        new_word = key[1:] != key[:-1]
-    else:
-        order = np.lexsort((zs, xs))
-        xo, zo = xs[order], zs[order]
-        new_word = (xo[1:] != xo[:-1]) | (zo[1:] != zo[:-1])
+    order, new_word = _word_order(xs, zs)
     first = np.concatenate(([True], new_word))
     starts = np.flatnonzero(first)
     sums = np.bincount(np.cumsum(first) - 1, weights=cs[order])

@@ -28,6 +28,7 @@ from iqcc.pauli import (
     flip_runs,
     parity_signs,
     phase_value,
+    word_products,
 )
 from iqcc.product_state import BlochState, PurifiedReference, energy
 from iqcc.screening import GradientGroup, partition_sectors
@@ -167,6 +168,35 @@ def lexsort_canonical_arrays(
     sums = np.bincount(np.cumsum(first) - 1, weights=cs)
     keep = np.abs(sums) >= tol
     return xs[starts][keep], zs[starts][keep], sums[keep]
+
+
+def lexsort_ladder_terms(
+    table: tuple[np.ndarray, np.ndarray], orbitals: np.ndarray, daggers: tuple[bool, ...], weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ladder-product words merged per row after a three-key lexsort on
+    (row, x, z): the arrays and coefficient bits the per-row packed-key sort of
+    `fermion._ladder_terms` must reproduce."""
+    tx, tz = table
+    m, k = orbitals.shape
+    choice = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    e = (choice * np.where(daggers, 3, 1)).sum(axis=1)
+    x = np.zeros((m, 1 << k), dtype=np.uint64)
+    z = np.zeros_like(x)
+    for t in range(k):
+        pick = (choice[:, t], orbitals[:, t, None])
+        x, z, dk = word_products(x, z, tx[pick], tz[pick])
+        e = e + dk
+    row = np.repeat(np.arange(m), 1 << k)
+    x, z, e = x.ravel(), z.ravel(), e.ravel() % 4
+    order = np.lexsort((z, x, row))
+    row, x, z, e = row[order], x[order], z[order], e[order]
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    starts = np.flatnonzero(first)
+    re = np.add.reduceat(np.array([1, 0, -1, 0])[e], starts)
+    im = np.add.reduceat(np.array([0, 1, 0, -1])[e], starts)
+    w = weights[row[starts]] * 0.5**k
+    return x[starts], z[starts], w * re + 1j * (w * im)
 
 
 def shift_letter_codes(h: Operator) -> np.ndarray:

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from iqcc import cli
+from iqcc import cli, exact
 from iqcc.cli import main
 from iqcc.driver import IqccConfig
 from iqcc.pauli import read_operator
@@ -101,6 +102,18 @@ def test_exact_iterative_one_qubit_imaginary_term(tmp_path, capsys):
     assert main(["exact", str(op), "--mode", "iterative"]) == 0
     assert capsys.readouterr().out == dense
     assert float(dense) == pytest.approx(-np.hypot(2.0, 0.7))
+
+
+def test_exact_solver_stall_is_reported_as_solver_failure(tmp_path, capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((4, 0)))
+
+    monkeypatch.setattr(exact, "eigsh", stalled)
+    op = tmp_path / "zz.op"
+    op.write_text("1.0 ZI\n0.5 XX\n")
+    assert main(["exact", str(op), "--mode", "iterative"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failed: ARPACK did not converge") and "internal" not in err
 
 
 def test_screen_diagonal_operator_empty_table(tmp_path, capsys):

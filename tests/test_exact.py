@@ -1,6 +1,11 @@
 """Statevector engine and exact solvers against dense Kronecker oracles."""
 
 import itertools
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -87,6 +92,115 @@ def test_uncached_matvec_matches_cached(rng, monkeypatch):
     for h, out in zip(ops, cached):
         assert exact._MatrixRows(h).block <= 8  # rebuilt in four or more row blocks
         assert np.array_equal(exact.make_matvec(h)(v), out)
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """A private pool of two helper threads, so that three CPUs get two."""
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(exact, "_pool", pool)
+    yield pool
+    pool.shutdown()
+
+
+@pytest.mark.parametrize("n, blocks", [(5, 2), (6, 8), (8, 16)])
+def test_shared_matvec_bits_do_not_depend_on_the_cpu_count(rng, monkeypatch, helpers, n, blocks):
+    # two row blocks leave three CPUs with more threads than chunks
+    for odd_y in (False, True):
+        h = _operator(rng, n, odd_y)
+        monkeypatch.setattr(exact, "_BLOCK_ENTRIES", exact._MatrixRows(h).runs * (1 << n) // blocks)
+        assert exact._MatrixRows(h).block == (1 << n) // blocks
+        vs = [rng.standard_normal(1 << n), rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)]
+        want = [exact._MatrixRows(h)(0, 1 << n) @ v for v in vs]  # one CSR matrix, one thread
+        for budget, cpus in itertools.product((exact._DIAG_CACHE_ENTRIES, 0), (1, 2, 3)):
+            monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", budget)
+            monkeypatch.setattr(exact, "_cpus", lambda: cpus)
+            matvec = exact.make_matvec(h)
+            for v, out in zip(vs, want):
+                got = matvec(v)
+                assert got.dtype == out.dtype and np.array_equal(got, out)
+
+
+def test_shared_hands_out_every_index_once(monkeypatch):
+    # more workers than cores and a short switch interval, so that the threads interleave
+    calls = []
+
+    def fn(i):
+        calls.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(exact, "_pool", pool)
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus, count in ((5, 300), (5, 2), (1, 7), (3, 1)):
+                calls.clear()
+                monkeypatch.setattr(exact, "_cpus", lambda: cpus)
+                assert exact._shared(count, fn) == [i * i for i in range(count)]
+                assert sorted(calls) == list(range(count))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_shared_raises_the_error_of_a_chunk(monkeypatch, helpers):
+    monkeypatch.setattr(exact, "_cpus", lambda: 3)
+
+    def fn(i):
+        if i == 5:
+            raise ArithmeticError("chunk 5")
+        return i
+
+    with pytest.raises(ArithmeticError, match="chunk 5"):
+        exact._shared(40, fn)
+
+
+def test_matvec_does_not_wait_for_helpers_that_never_start(rng, monkeypatch):
+    # the pool's only worker is blocked, so every queued helper stays pending
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 64)
+    h = _operator(rng, 7, False)
+    v = rng.standard_normal(1 << 7)
+    want = exact._MatrixRows(h)(0, 1 << 7) @ v
+    release = threading.Event()
+    valve = threading.Timer(30.0, release.set)  # frees the worker should the matvec wait after all
+    pool = ThreadPoolExecutor(1)
+    try:
+        pool.submit(release.wait)
+        valve.start()
+        monkeypatch.setattr(exact, "_pool", pool)
+        monkeypatch.setattr(exact, "_cpus", lambda: 2)
+        for budget in (exact._DIAG_CACHE_ENTRIES, 0):
+            monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", budget)
+            start = time.perf_counter()
+            assert np.array_equal(exact.make_matvec(h)(v), want)
+            assert time.perf_counter() - start < 10.0 and not release.is_set()
+    finally:
+        release.set()
+        valve.cancel()
+        pool.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_without_the_parents_pool(monkeypatch, helpers):
+    monkeypatch.setattr(exact, "_cpus", lambda: 2)
+    assert exact._shared(2, lambda i: i) == [0, 1] and exact._pool is helpers
+    pid = os.fork()
+    if pid == 0:  # the child only reads the module state and exits
+        os._exit(0 if exact._pool is None else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_iterative_ground_state_bits_do_not_depend_on_the_cpu_count(rng, monkeypatch, helpers):
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 1 << 12)
+    h = random_real_operator(rng, 12, 40)
+    assert exact._MatrixRows(h).block < 1 << 10  # eight or more row blocks
+    solved = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(exact, "_cpus", lambda: cpus)
+        solved.append(ground_state(h, mode="iterative"))
+    (e1, v1), (e2, v2) = solved
+    assert e1 == e2 and np.array_equal(v1, v2)
 
 
 @st.composite

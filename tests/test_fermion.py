@@ -12,6 +12,7 @@ from iqcc.exact import BudgetError, ground_state
 from iqcc.fermion import (
     IntegralData,
     QubitAssignment,
+    _MAJORANAS,
     _jw_majoranas,
     _ladder_terms,
     _realize,
@@ -33,6 +34,7 @@ from conftest import (
     dense_word,
     determinant_hamiltonian,
     fock_matrix,
+    lexsort_ladder_terms,
     random_integrals,
     symmetry_commutes,
 )
@@ -155,6 +157,23 @@ def test_realize_rejects_imaginary_residue():
         _realize(2, hop)
     back = _ladder_terms(table, np.array([[1, 0]]), (True, False), np.ones(1))
     assert _realize(2, hop, back) == Operator.from_labels({"XX": 0.5, "YY": 0.5})
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity"])
+@pytest.mark.parametrize("n_so", [4, 32, 33, 64])
+def test_ladder_terms_match_lexsort_reference(mapping, n_so):
+    # the (x, z) key packs into 64 bits up to 32 spin-orbitals; above, lexsort takes over
+    rng = np.random.default_rng(n_so)
+    table = _MAJORANAS[mapping](n_so)
+    for daggers in ((True, False), (True, True, False, False)):
+        orbitals = rng.integers(0, n_so, size=(40, len(daggers)))
+        orbitals[:5] = orbitals[:5, :1]  # repeated orbitals: words that merge or cancel within a row
+        weights = rng.standard_normal(40)
+        want = lexsort_ladder_terms(table, orbitals, daggers, weights)
+        for a, b in zip(_ladder_terms(table, orbitals, daggers, weights), want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    empty = _ladder_terms(table, np.zeros((0, 4), dtype=int), (True, True, False, False), np.zeros(0))
+    assert [len(a) for a in empty] == [0, 0, 0]
 
 
 def test_parity_single_orbital_number_operator():
