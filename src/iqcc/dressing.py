@@ -55,8 +55,16 @@ def dress_derivative(h: Operator, step: DressingStep) -> Operator:
 
 
 def dress_sequence(h: Operator, steps: Iterable[DressingStep]) -> Operator:
-    """Left fold of dress over the steps, in order."""
+    """Left fold of dress over the steps, in order.
+
+    A dressed result starts a memo of its own (see `pauli.rotate`).  It is
+    the next iteration's operator: sharing the memo of the last dress would
+    let h, through the plans made from it, keep every later iteration's
+    plans alive as well.
+    """
     out = h
     for step in steps:
         out = dress(out, step)
-    return out
+    if out is h:
+        return h
+    return Operator._from_canonical(out.n_qubits, out.x_masks, out.z_masks, out.coefficients)

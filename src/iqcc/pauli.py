@@ -11,9 +11,12 @@ form: terms sorted lexicographically by (x_mask, z_mask), duplicate words
 summed, coefficients below MERGE_TOL dropped.  The sort is one stable
 argsort of the packed key (x << s) | z, s the bit length of the largest z;
 only when that key would need more than 64 bits (above 32 qubits) does a
-two-key lexsort take over.  Internally an operator holds
-three parallel numpy arrays, which the heavier routines (commutators,
-conjugation, dressing) operate on directly.
+two-key lexsort take over.  The merge is two steps: a plan (which distinct
+word each term lands on) that depends on the words only, and the sums.
+Internally an operator holds three parallel numpy arrays, which the heavier
+routines (commutators, conjugation, dressing) operate on directly, and a
+memo of results that depend on its words only, such as each rotation's
+plan; operators holding the very same mask arrays share one memo.
 
 Summation rule: coefficients that land on one word are added as a running
 sum in input order (np.bincount here; a CSR product in the exact oracle).
@@ -180,19 +183,34 @@ def _word_order(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return order, (xo[..., 1:] != xo[..., :-1]) | (zo[..., 1:] != zo[..., :-1])
 
 
+def _merge_plan(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical merge's plan for these words: the index, in (x, z) order,
+    of the distinct word each term lands on, and the first term of each
+    distinct word (ordered stably, by `_word_order`; int32 where it fits)."""
+    order, new_word = _word_order(xs, zs)
+    order = order.astype(np.int32 if len(xs) < 2**31 else np.intp, copy=False)
+    first = np.concatenate(([True], new_word))
+    word = np.empty_like(order)
+    word[order] = np.cumsum(first, dtype=order.dtype) - 1
+    return word, order[first]
+
+
+def _merge(word: np.ndarray, cs: np.ndarray, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct word's coefficient, a running sum in input order, and
+    which of them clear the dust cutoff."""
+    sums = np.bincount(word, weights=cs)
+    return sums, np.abs(sums) >= tol
+
+
 def _canonical_arrays(
     xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, tol: float = MERGE_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort by (x, z) (stably, by `_word_order`), merge duplicates as running
-    sums, drop dust."""
+    """Sort by (x, z), merge duplicates as running sums, drop dust."""
     if len(xs) == 0:
         return xs, zs, cs
-    order, new_word = _word_order(xs, zs)
-    first = np.concatenate(([True], new_word))
-    starts = np.flatnonzero(first)
-    sums = np.bincount(np.cumsum(first) - 1, weights=cs[order])
-    keep = np.abs(sums) >= tol
-    rows = order[starts[keep]]
+    word, first = _merge_plan(xs, zs)
+    sums, keep = _merge(word, cs, tol)
+    rows = first[keep]
     return xs[rows], zs[rows], sums[keep]
 
 
@@ -203,7 +221,7 @@ class Operator:
     in lexicographic (x_mask, z_mask) order.
     """
 
-    __slots__ = ("n_qubits", "_xs", "_zs", "_cs")
+    __slots__ = ("n_qubits", "_xs", "_zs", "_cs", "_memo")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[PauliWord, float]] = ()):
         words = list(terms)
@@ -219,10 +237,18 @@ class Operator:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
         self._xs, self._zs, self._cs = _canonical_arrays(xs, zs, cs)
+        self._memo = {}
         self._freeze()
 
     def _freeze(self) -> None:
         frozen(self._xs, self._zs, self._cs)
+
+    def _memoized(self, build):
+        """build(self), computed once per word set: every operator holding these
+        mask arrays shares the result, which must depend on the words only."""
+        if build not in self._memo:
+            self._memo[build] = build(self)
+        return self._memo[build]
 
     @classmethod
     def _from_raw(cls, n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray) -> "Operator":
@@ -234,17 +260,22 @@ class Operator:
             np.ascontiguousarray(zs, dtype=np.uint64),
             np.ascontiguousarray(cs, dtype=np.float64),
         )
+        op._memo = {}
         op._freeze()
         return op
 
     @classmethod
-    def _from_canonical(cls, n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray) -> "Operator":
-        """Adopt arrays already in canonical order (internal fast path)."""
+    def _from_canonical(
+        cls, n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, memo: dict | None = None
+    ) -> "Operator":
+        """Adopt arrays already in canonical order (internal fast path); `memo`
+        is that of operators holding the very same mask arrays, if any."""
         op = cls.__new__(cls)
         op.n_qubits = n_qubits
         op._xs = np.ascontiguousarray(xs, dtype=np.uint64)
         op._zs = np.ascontiguousarray(zs, dtype=np.uint64)
         op._cs = np.ascontiguousarray(cs, dtype=np.float64)
+        op._memo = {} if memo is None else memo
         op._freeze()
         return op
 
@@ -327,7 +358,7 @@ class Operator:
     __rmul__ = __mul__
 
     def __neg__(self) -> "Operator":
-        return Operator._from_canonical(self.n_qubits, self._xs, self._zs, -self._cs)
+        return Operator._from_canonical(self.n_qubits, self._xs, self._zs, -self._cs, self._memo)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operator):
@@ -351,18 +382,6 @@ def anticommuting(h: Operator, p: PauliWord) -> np.ndarray:
     return (np.bitwise_count((h.x_masks & pz) ^ (h.z_masks & px)) & 1).astype(bool)
 
 
-def commutator_terms(
-    xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, p: PauliWord
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Words and coefficients of -(i/2)[c*w, p] for terms c*w anticommuting with p.
-
-    Each term maps to +-c * (w*p), the sign fixed by the product phase.
-    """
-    xn, zn, k = word_products(xs, zs, np.uint64(p.x_mask), np.uint64(p.z_mask))
-    # k is odd for anticommuting pairs, so -i * i**k is +-1
-    return xn, zn, cs * np.where(k == 1, 1.0, -1.0)
-
-
 def flip_runs(h: Operator) -> list[tuple[int, slice]]:
     """(x_mask, slice) of each run of equal x_mask in the canonical term arrays."""
     if h.is_empty:
@@ -370,6 +389,47 @@ def flip_runs(h: Operator) -> list[tuple[int, slice]]:
     xs = h.x_masks
     edges = [0, *(np.flatnonzero(xs[1:] != xs[:-1]) + 1).tolist(), len(xs)]
     return [(int(xs[a]), slice(a, b)) for a, b in zip(edges, edges[1:])]
+
+
+def _rotation_terms(
+    h: Operator, p: PauliWord, commuting: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The unmerged terms of a rotation of h by p, or None when no term of h
+    anticommutes with p: the terms commuting with p (if kept), those
+    anticommuting, and the word +-(w*p) each of the latter spawns.  Returns
+    their masks, their source terms in h and the index of their factor in
+    (1, a, b, -b)."""
+    anti = anticommuting(h, p)
+    if not anti.any():
+        return None
+    ia = np.flatnonzero(anti)
+    ir = np.flatnonzero(~anti) if commuting else ia[:0]
+    xa, za = h.x_masks[ia], h.z_masks[ia]
+    xn, zn, k = word_products(xa, za, np.uint64(p.x_mask), np.uint64(p.z_mask))
+    # k is odd for anticommuting pairs, so -(i/2)[c*w, p] = -i * i**k * c * (w*p) is +-c * (w*p)
+    factor = np.concatenate([np.zeros(len(ir)), np.ones(len(ia)), np.where(k == 1, 2, 3)])
+    src = np.concatenate([ir, ia, ia])
+    return (
+        np.concatenate([h.x_masks[ir], xa, xn]),
+        np.concatenate([h.z_masks[ir], za, zn]),
+        src.astype(np.int32 if len(src) < 2**31 else np.intp),
+        factor.astype(np.int8),
+    )
+
+
+@dataclass(slots=True, eq=False)
+class _RotationPlan:
+    """What a rotation of one word set by one word keeps for its next call:
+    each unmerged term's source term, factor index and merged word
+    (`_rotation_terms`, `_merge_plan`), the first term of each merged word,
+    and `last`: the last call's dust pattern, its kept words and the memo of
+    the operators holding them."""
+
+    src: np.ndarray
+    factor: np.ndarray
+    word: np.ndarray
+    first: np.ndarray
+    last: tuple[np.ndarray, np.ndarray, np.ndarray, dict] | None = None
 
 
 def rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True) -> Operator:
@@ -380,19 +440,34 @@ def rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True
     exp(i*tau*p/2) h exp(-i*tau*p/2); each anticommuting term c*w spawns the
     one word +-c * (w*p).  Returns h itself (or, without `commuting`, the
     zero operator) when no term anticommutes with p.
+
+    The merge plan depends on h's words, p and `commuting` only, so it is
+    built once and kept in h's memo; a later call gathers the coefficients,
+    sums them by the plan and drops dust, with the canonical merge's
+    summation rule, so the result has the same bits as a fresh merge.
+    Results with the dust pattern of the previous call share its word
+    arrays and their memo.  An operator's memo lives as long as the
+    operators sharing it, and it keeps the plans made from it and, through
+    them, the memos of their results.
     """
-    anti = anticommuting(h, p)
-    if not anti.any():
+    if h.n_qubits != p.n_qubits:
+        raise DimensionError("operator/word qubit mismatch")
+    key = (p.x_mask, p.z_mask, commuting)
+    terms = None
+    if key not in h._memo:
+        terms = _rotation_terms(h, p, commuting)
+        h._memo[key] = None if terms is None else _RotationPlan(*frozen(*terms[2:], *_merge_plan(*terms[:2])))
+    plan = h._memo[key]
+    if plan is None:
         return h if commuting else Operator.zero(h.n_qubits)
-    rest = ~anti & commuting
-    xa, za, ca = h.x_masks[anti], h.z_masks[anti], h.coefficients[anti]
-    xn, zn, cn = commutator_terms(xa, za, ca, p)
-    return Operator._from_raw(
-        h.n_qubits,
-        np.concatenate([h.x_masks[rest], xa, xn]),
-        np.concatenate([h.z_masks[rest], za, zn]),
-        np.concatenate([h.coefficients[rest], ca * a, cn * b]),
-    )
+    sums, keep = _merge(plan.word, h.coefficients[plan.src] * np.array([1.0, a, b, -b])[plan.factor])
+    last = plan.last
+    if last is None or not np.array_equal(keep, last[0]):
+        xs, zs = (_rotation_terms(h, p, commuting) if terms is None else terms)[:2]
+        rows = plan.first[keep]
+        last = plan.last = (*frozen(keep, xs[rows], zs[rows]), {})
+    _, xs, zs, memo = last
+    return Operator._from_canonical(h.n_qubits, xs, zs, sums[keep], memo)
 
 
 def commutator_half(h: Operator, p: PauliWord) -> Operator:

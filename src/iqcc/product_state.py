@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .pauli import DimensionError, Operator
+from .pauli import DimensionError, Operator, frozen
 
 logger = logging.getLogger(__name__)
 
@@ -89,14 +89,15 @@ def _check_state(s: BlochState, n_qubits: int) -> None:
 
 def _letter_codes(h: Operator) -> np.ndarray:
     """[terms x qubits] column 4j + x + 2z of term t's letter on qubit j in the
-    rows of `_bloch_tables` (letter code 0 = I, 1 = x, 2 = z, 3 = y)."""
+    rows of `_bloch_tables` (letter code 0 = I, 1 = x, 2 = z, 3 = y), read-only;
+    the energies read it from h's memo, so each word set builds it once."""
     n = h.n_qubits
 
     def bits(masks: np.ndarray) -> np.ndarray:
         octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
         return np.unpackbits(octets, axis=1, count=n, bitorder="little")
 
-    return bits(h.x_masks) + 2 * bits(h.z_masks) + 4 * np.arange(n, dtype=np.intp)
+    return frozen(bits(h.x_masks) + 2 * bits(h.z_masks) + 4 * np.arange(n, dtype=np.intp))[0]
 
 
 def _bloch_tables(s: BlochState) -> np.ndarray:
@@ -114,7 +115,7 @@ def energy(s: BlochState, h: Operator) -> float:
     _check_state(s, h.n_qubits)
     if h.is_empty:
         return 0.0
-    return float(h.coefficients @ _bloch_tables(s)[0][_letter_codes(h)].prod(axis=1))
+    return float(h.coefficients @ _bloch_tables(s)[0][h._memoized(_letter_codes)].prod(axis=1))
 
 
 def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, np.ndarray]:
@@ -124,7 +125,7 @@ def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, 
     if h.is_empty:
         return 0.0, np.zeros(n), np.zeros(n)
     f_table, dth_table, dph_table = _bloch_tables(s)
-    codes = _letter_codes(h)
+    codes = h._memoized(_letter_codes)
     f = f_table[codes]
 
     prod = f.prod(axis=1)

@@ -170,6 +170,36 @@ def lexsort_canonical_arrays(
     return xs[starts][keep], zs[starts][keep], sums[keep]
 
 
+def commutator_terms(
+    xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, p: PauliWord
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words and coefficients of -(i/2)[c*w, p] for terms c*w anticommuting with p.
+
+    Each term maps to +-c * (w*p), the sign fixed by the product phase.
+    """
+    xn, zn, k = word_products(xs, zs, np.uint64(p.x_mask), np.uint64(p.z_mask))
+    # k is odd for anticommuting pairs, so -i * i**k is +-1
+    return xn, zn, cs * np.where(k == 1, 1.0, -1.0)
+
+
+def concat_rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True) -> Operator:
+    """`rotate` by concatenating the commuting, anticommuting and spawned terms
+    and merging them afresh: the words and coefficient bits the memoized
+    rotation must reproduce."""
+    anti = anticommuting(h, p)
+    if not anti.any():
+        return h if commuting else Operator.zero(h.n_qubits)
+    rest = ~anti & commuting
+    xa, za, ca = h.x_masks[anti], h.z_masks[anti], h.coefficients[anti]
+    xn, zn, cn = commutator_terms(xa, za, ca, p)
+    return Operator._from_raw(
+        h.n_qubits,
+        np.concatenate([h.x_masks[rest], xa, xn]),
+        np.concatenate([h.z_masks[rest], za, zn]),
+        np.concatenate([h.coefficients[rest], ca * a, cn * b]),
+    )
+
+
 def lexsort_ladder_terms(
     table: tuple[np.ndarray, np.ndarray], orbitals: np.ndarray, daggers: tuple[bool, ...], weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -27,15 +27,16 @@ def test_map_reduces_and_reports(tmp_path, capsys):
     assert "mapped: qubits=4 terms=15" in out
     assert "reduction: positions=[1, 3]" in out
     assert "reduced: qubits=2" in out
-    op = read_operator((tmp_path / "h2_sto3g.parity.op").open())
-    assert op.n_qubits == 2
+    with (tmp_path / "h2_sto3g.parity.op").open() as fh:
+        assert read_operator(fh).n_qubits == 2
 
 
 def test_map_no_reduce_keeps_qubits(tmp_path):
     rc = main(["--outdir", str(tmp_path), "map", str(FIXTURE), "--mapping", "parity",
                "--no-reduce", "-o", "full.op"])
     assert rc == 0
-    assert read_operator((tmp_path / "full.op").open()).n_qubits == 4
+    with (tmp_path / "full.op").open() as fh:
+        assert read_operator(fh).n_qubits == 4
 
 
 def test_map_idempotent_output(tmp_path):
@@ -143,7 +144,8 @@ def test_compress_huge_epsilon_keeps_identity(tmp_path, capsys):
     op.write_text("0.5 II\n0.1 XX\n-0.05 ZZ\n")
     rc = main(["--outdir", str(tmp_path), "compress", str(op), "--epsilon", "100.0", "-o", "c.op"])
     assert rc == 0
-    kept = read_operator((tmp_path / "c.op").open())
+    with (tmp_path / "c.op").open() as fh:
+        kept = read_operator(fh)
     assert [w.to_label() for w, _ in kept] == ["II"]
 
 

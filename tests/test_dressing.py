@@ -1,6 +1,8 @@
 """Similarity transformation: closed form vs dense conjugation oracles."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqcc.dressing import DressingStep, dress, dress_derivative, dress_sequence
-from iqcc.pauli import Operator, PauliWord, commutator_half
+from iqcc.pauli import Operator, PauliWord, commutator_half, rotate
 from iqcc.product_state import BlochState, energy
 
 from conftest import (
@@ -79,6 +81,20 @@ def test_dress_sequence_empty_and_merge(rng):
     two = dress_sequence(h, [DressingStep(p, 0.3), DressingStep(p, 0.5)])
     one = dress(h, DressingStep(p, 0.8))
     assert op_allclose(two, one, 1e-12)
+
+
+def test_dress_sequence_result_starts_its_own_memo():
+    h = Operator.from_labels({"XZI": 1.0, "ZZI": 0.5, "IZX": 0.25, "YIY": -0.75})
+    steps = [DressingStep(PauliWord.from_label(w), t) for w, t in (("ZII", 0.3), ("IIZ", -0.4))]
+    last = dress(dress(h, steps[0]), steps[1])
+    out = dress_sequence(h, steps)
+    assert out == last and out.x_masks is last.x_masks
+    assert out._memo == {} and out._memo is not last._memo
+    # plans made from the result live with it, not with h
+    ref = weakref.ref(rotate(out, PauliWord.from_label("XXX"), 0.6, 0.8).x_masks)
+    del out, last
+    gc.collect()
+    assert ref() is None
 
 
 def test_growth_tracks_three_halves_law(rng):

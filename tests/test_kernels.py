@@ -3,28 +3,34 @@
 Words span up to 64 qubits, so the uint64 masks' top bit is exercised.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqcc.compression import compress
 from iqcc.fermion import _REALITY_TOL
 from iqcc.pauli import (
     MERGE_TOL,
+    DimensionError,
     Operator,
     PauliWord,
     _canonical_arrays,
     anticommuting,
-    commutator_terms,
     commutes,
     flip_runs,
     mask_bits,
     mask_product,
     parity_signs,
+    rotate,
     word_products,
 )
+from iqcc.product_state import _letter_codes
 
-from conftest import lexsort_canonical_arrays
+from conftest import commutator_terms, concat_rotate, lexsort_canonical_arrays
 
 N_QUBITS = st.integers(1, 64)
 
@@ -134,3 +140,90 @@ def test_canonical_arrays_pack_keys_only_when_they_fit_in_64_bits(monkeypatch, n
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
     _assert_same_canonical(_canonical_arrays(xs, zs, cs), want)
     assert (not calls) == packed
+
+
+# rotation factors: signed zeros, values that leave spawned terms as dust, +-1
+# and 1/2 (which cancel words exactly), and ordinary values
+FACTORS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-13, -1e-13]), st.floats(-1.0, 1.0))
+
+
+def _assert_same_operator(got, want):
+    assert got.n_qubits == want.n_qubits
+    assert got.x_masks.tolist() == want.x_masks.tolist() and got.z_masks.tolist() == want.z_masks.tolist()
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_memoized_rotate_matches_concatenating_reference(data):
+    # few qubits make spawned words land on existing ones
+    n = data.draw(st.integers(1, 3) | N_QUBITS)
+    terms = data.draw(words(n, max_size=20))
+    coeffs = data.draw(st.lists(
+        st.sampled_from([1.0, -1.0, 0.5]) | st.floats(-2.0, 2.0), min_size=len(terms), max_size=len(terms)
+    ))
+    h = Operator(n, zip(terms, coeffs))
+    gens = [(p, data.draw(st.booleans())) for p in data.draw(words(n, min_size=1, max_size=3))]
+    # every pass after the first finds the plans of h and of the results
+    # sharing its memo, which the passes before it made
+    for _ in range(data.draw(st.integers(1, 4))):
+        got = want = h
+        for p, commuting in gens:
+            a, b = data.draw(FACTORS), data.draw(FACTORS)
+            got, want = rotate(got, p, a, b, commuting), concat_rotate(want, p, a, b, commuting)
+            _assert_same_operator(got, want)
+
+
+def test_memoized_rotate_follows_the_dust_pattern():
+    # X and Y anticommute with Z and spawn -c Y and +c X: the X coefficient is
+    # a + b and the Y one a - b, so a = b cancels Y, and tiny a and b leave dust
+    h = Operator.from_labels({"X": 1.0, "Y": 1.0, "Z": 0.25})
+    z = PauliWord.from_label("Z")
+    for a, b in [(0.5, 0.25), (1e-13, 1e-13), (0.5, 0.25), (1.0, 1.0), (-0.0, 1.0), (0.5, 0.0), (0.5, 0.25)]:
+        for commuting in (True, False):
+            _assert_same_operator(rotate(h, z, a, b, commuting), concat_rotate(h, z, a, b, commuting))
+
+
+def test_rotate_checks_qubit_counts_with_a_warm_memo():
+    h = Operator.from_labels({"XZ": 1.0, "ZZ": 0.5})
+    p = PauliWord.from_label("ZI")
+    rotate(h, p, 0.5, 0.25)
+    with pytest.raises(DimensionError):
+        rotate(h, PauliWord(3, p.x_mask, p.z_mask), 0.5, 0.25)
+
+
+def test_rotation_memo_lives_with_its_operators():
+    h = Operator.from_labels({"XZ": 1.0, "ZZ": 0.5, "IZ": 0.25})
+    p, q = PauliWord.from_label("ZI"), PauliWord.from_label("IX")
+    out = rotate(rotate(h, p, 0.6, 0.8), q, 0.6, 0.8)
+    # a later call with the same dust pattern reuses the words and their memo
+    again = rotate(rotate(h, p, 0.8, 0.6), q, 0.8, 0.6)
+    assert again.x_masks is out.x_masks and again._memo is out._memo
+    codes = out._memoized(_letter_codes)
+    assert codes is again._memoized(_letter_codes)
+    assert not any(a.flags.writeable for a in (out.x_masks, out.z_masks, out.coefficients, codes))
+    refs = [weakref.ref(a) for a in (out.x_masks, out.z_masks, codes)]
+    # h's memo keeps the plans made from it and, through them, out's words
+    del out, again, codes
+    gc.collect()
+    assert all(r() is not None for r in refs)
+    del h
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_other_word_sets_start_with_an_empty_memo():
+    h = Operator.from_labels({"XZ": 1.0, "ZZ": 0.5, "IZ": 1e-9, "XX": 0.25})
+    p = PauliWord.from_label("ZY")
+    rotate(h, p, 0.6, 0.8)
+    h._memoized(_letter_codes)
+    # a sum, a scaling and a compression that drop terms, and a rebuilt copy
+    others = [h + Operator.from_labels({"YY": 1.0}), h * 1e-4, compress(h, 0.1)[0], Operator(2, h)]
+    assert [len(o) for o in others] == [5, 3, 3, 4]
+    for other in others:
+        assert other._memo == {}
+        _assert_same_operator(rotate(other, p, 0.6, 0.8), concat_rotate(other, p, 0.6, 0.8))
+        assert np.array_equal(other._memoized(_letter_codes), _letter_codes(other))
+    # negation keeps the very same words, and their memo
+    assert (-h)._memo is h._memo
+    _assert_same_operator(rotate(-h, p, 0.6, 0.8), concat_rotate(-h, p, 0.6, 0.8))
