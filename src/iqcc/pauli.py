@@ -186,9 +186,8 @@ def _word_order(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _merge_plan(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonical merge's plan for these words: the index, in (x, z) order,
     of the distinct word each term lands on, and the first term of each
-    distinct word (ordered stably, by `_word_order`; int32 where it fits)."""
+    distinct word (ordered stably, by `_word_order`), as intp arrays."""
     order, new_word = _word_order(xs, zs)
-    order = order.astype(np.int32 if len(xs) < 2**31 else np.intp, copy=False)
     first = np.concatenate(([True], new_word))
     word = np.empty_like(order)
     word[order] = np.cumsum(first, dtype=order.dtype) - 1
@@ -408,12 +407,11 @@ def _rotation_terms(
     xn, zn, k = word_products(xa, za, np.uint64(p.x_mask), np.uint64(p.z_mask))
     # k is odd for anticommuting pairs, so -(i/2)[c*w, p] = -i * i**k * c * (w*p) is +-c * (w*p)
     factor = np.concatenate([np.zeros(len(ir)), np.ones(len(ia)), np.where(k == 1, 2, 3)])
-    src = np.concatenate([ir, ia, ia])
     return (
         np.concatenate([h.x_masks[ir], xa, xn]),
         np.concatenate([h.z_masks[ir], za, zn]),
-        src.astype(np.int32 if len(src) < 2**31 else np.intp),
-        factor.astype(np.int8),
+        np.concatenate([ir, ia, ia]),
+        factor.astype(np.intp),
     )
 
 
@@ -422,6 +420,7 @@ class _RotationPlan:
     """What a rotation of one word set by one word keeps for its next call:
     each unmerged term's source term, factor index and merged word
     (`_rotation_terms`, `_merge_plan`), the first term of each merged word,
+    all intp so that a warm call gathers and sums without converting them,
     and `last`: the last call's dust pattern, its kept words and the memo of
     the operators holding them."""
 

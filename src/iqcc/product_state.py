@@ -5,6 +5,15 @@ A state is a pair of Bloch-angle arrays (theta, phi), one angle pair per
 qubit.  Single-qubit expectations are <x> = sin(theta)cos(phi),
 <y> = sin(theta)sin(phi), <z> = cos(theta); a word's expectation is the
 product over its support.  All gradients here are analytic.
+
+The kernels gather each qubit's factor by its letter code from the state's
+`factor_table` (built once per state) through the operator's qubit-major
+`[qubits x terms]` code array (built once per word set), so a term's
+product is n - 1 whole-vector multiplies in qubit order, with the bits of a
+row-wise product.  They work through the terms in blocks, so that their
+temporaries stay in cache, and each gradient is one running sum over all
+terms in order, with the bits of `np.einsum` over `[terms x qubits]`
+operands.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -21,28 +31,40 @@ from .pauli import DimensionError, Operator, frozen
 logger = logging.getLogger(__name__)
 
 GRAD_TOL = 1e-8  # quasi-Newton exit criterion (gradient infinity norm)
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+_BLOCK = 4096  # terms per block of the energy kernels
 
 
 @dataclass(frozen=True)
 class BlochState:
-    """Product state parametrized by 2n Bloch angles (radians)."""
+    """Product state parametrized by 2n Bloch angles (radians); it keeps
+    read-only copies of the angles it is given."""
 
     theta: np.ndarray
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        th = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
-        ph = np.atleast_1d(np.asarray(self.phi, dtype=np.float64))
+        th = np.array(self.theta, dtype=np.float64, ndmin=1)
+        ph = np.array(self.phi, dtype=np.float64, ndmin=1)
         if th.shape != ph.shape or th.ndim != 1:
             raise ValueError("theta and phi must be 1-d arrays of equal length")
-        th.setflags(write=False)
-        ph.setflags(write=False)
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "phi", ph)
+        object.__setattr__(self, "theta", frozen(th)[0])
+        object.__setattr__(self, "phi", frozen(ph)[0])
 
     @property
     def n_qubits(self) -> int:
         return self.theta.size
+
+    @cached_property
+    def factor_table(self) -> np.ndarray:
+        """Rows f, df/dtheta and df/dphi of the single-qubit expectation f, read-only
+        and built on first use; column 4j + c holds qubit j's value for letter code
+        c (I, x, z, y)."""
+        st, ct = np.sin(self.theta), np.cos(self.theta)
+        sp, cp = np.sin(self.phi), np.cos(self.phi)
+        one, zero = np.ones_like(st), np.zeros_like(st)
+        rows = [[one, st * cp, ct, st * sp], [zero, ct * cp, -st, ct * sp], [zero, -st * sp, zero, st * cp]]
+        return frozen(np.array(rows).transpose(0, 2, 1).reshape(3, -1))[0]
 
     def normalized(self) -> "BlochState":
         """Copy with theta in [0, pi] and phi in [0, 2*pi).
@@ -88,26 +110,47 @@ def _check_state(s: BlochState, n_qubits: int) -> None:
 
 
 def _letter_codes(h: Operator) -> np.ndarray:
-    """[terms x qubits] column 4j + x + 2z of term t's letter on qubit j in the
-    rows of `_bloch_tables` (letter code 0 = I, 1 = x, 2 = z, 3 = y), read-only;
-    the energies read it from h's memo, so each word set builds it once."""
+    """[qubits x terms] column 4j + x + 2z of term t's letter on qubit j in
+    `BlochState.factor_table` (letter code 0 = I, 1 = x, 2 = z, 3 = y),
+    C-contiguous and read-only; the energies read it from h's memo, so each
+    word set builds it once."""
     n = h.n_qubits
 
     def bits(masks: np.ndarray) -> np.ndarray:
         octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        return np.unpackbits(octets, axis=1, count=n, bitorder="little")
+        return np.unpackbits(octets.T.copy(), axis=0, count=n, bitorder="little")
 
-    return frozen(bits(h.x_masks) + 2 * bits(h.z_masks) + 4 * np.arange(n, dtype=np.intp))[0]
+    return frozen(bits(h.x_masks) + 2 * bits(h.z_masks) + 4 * np.arange(n, dtype=np.intp)[:, None])[0]
 
 
-def _bloch_tables(s: BlochState) -> np.ndarray:
-    """Rows f, df/dtheta and df/dphi of the single-qubit expectation f; column
-    4j + c holds qubit j's value for letter code c (I, x, z, y)."""
-    st, ct = np.sin(s.theta), np.cos(s.theta)
-    sp, cp = np.sin(s.phi), np.cos(s.phi)
-    one, zero = np.ones_like(st), np.zeros_like(st)
-    rows = [[one, st * cp, ct, st * sp], [zero, ct * cp, -st, ct * sp], [zero, -st * sp, zero, st * cp]]
-    return np.array(rows).transpose(0, 2, 1).reshape(3, -1)
+def _products(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Product over the rows of f, taken in row (qubit) order, into out."""
+    out[...] = f[0]
+    for row in f[1:]:
+        out *= row
+    return out
+
+
+def _partials(f: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """Product over each term's other factors, with exact zeros: a term with
+    two or more zero factors gets zero partials, one with a single zero factor
+    the product of the rest on that qubit.  Subnormal factors count as zero:
+    their product keeps too few bits to divide by."""
+    zero = np.abs(f) < _TINY
+    denom = np.where(zero, 1.0, f)
+    partial = prod / denom
+    one_zero = zero.sum(axis=0) == 1
+    if one_zero.any():
+        rest = _products(denom[:, one_zero], np.empty(np.count_nonzero(one_zero)))
+        partial[:, one_zero] = np.where(zero[:, one_zero], rest, 0.0)
+    return partial
+
+
+def _blocks(h: Operator):
+    """(terms, their letter codes) for consecutive blocks of at most _BLOCK terms."""
+    codes = h._memoized(_letter_codes)
+    for start in range(0, len(h), _BLOCK):
+        yield slice(start, start + _BLOCK), codes[:, start : start + _BLOCK]
 
 
 def energy(s: BlochState, h: Operator) -> float:
@@ -115,37 +158,47 @@ def energy(s: BlochState, h: Operator) -> float:
     _check_state(s, h.n_qubits)
     if h.is_empty:
         return 0.0
-    return float(h.coefficients @ _bloch_tables(s)[0][h._memoized(_letter_codes)].prod(axis=1))
+    f_table, prod = s.factor_table[0], np.empty(len(h))
+    for terms, codes in _blocks(h):
+        _products(f_table[codes], prod[terms])
+    return float(h.coefficients @ prod)
 
 
 def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, np.ndarray]:
-    """Energy plus analytic d/dtheta and d/dphi arrays."""
+    """Energy plus analytic d/dtheta and d/dphi arrays.
+
+    Works through the terms in blocks of at most _BLOCK, so that the
+    temporaries stay in cache.  One gather of a block's letter codes gives
+    its factors f, another both derivative rows.  The product over a term's
+    other factors is prod / f when no factor is below the smallest normal
+    float (every factor is at most 1 in size, so a product at or above it
+    rules such a factor out); otherwise `_partials` treats those factors as
+    zero.  Each gradient is the running sum over all terms, in order, of
+    coefficient * partial * derivative, as `np.einsum` sums a column of a
+    `[terms x 2 qubits]` array: each block's products are copied into the
+    rows of one such array below a first row that carries the sums so far.
+    """
     _check_state(s, h.n_qubits)
     n = h.n_qubits
     if h.is_empty:
         return 0.0, np.zeros(n), np.zeros(n)
-    f_table, dth_table, dph_table = _bloch_tables(s)
-    codes = h._memoized(_letter_codes)
-    f = f_table[codes]
-
-    prod = f.prod(axis=1)
+    f_table, d_tables = s.factor_table[0], s.factor_table[1:]
     cs = h.coefficients
-    e = float(cs @ prod)
-
-    # product over the other factors; a term with two or more zero factors
-    # has prod == 0, so dividing already gives it zero partials.  Subnormal
-    # factors count as zero: their product keeps too few bits to divide by.
-    zero = np.abs(f) < np.finfo(np.float64).tiny
-    denom = np.where(zero, 1.0, f)
-    partial = prod[:, None] / denom
-    one_zero = zero.sum(axis=1) == 1
-    if one_zero.any():
-        rest = denom[one_zero].prod(axis=1)
-        partial[one_zero] = np.where(zero[one_zero], rest[:, None], 0.0)
-
-    g_theta = np.einsum("t,tj,tj->j", cs, partial, dth_table[codes])
-    g_phi = np.einsum("t,tj,tj->j", cs, partial, dph_table[codes])
-    return e, g_theta, g_phi
+    prod = np.empty(len(h))
+    # with 2n >= 2 columns einsum's inner loop runs along a row, so each
+    # column is summed as one running sum down the rows
+    rows = np.zeros((min(len(h), _BLOCK) + 1, 2 * n))
+    for terms, codes in _blocks(h):
+        f = f_table[codes]
+        p = _products(f, prod[terms])
+        partial = p / f if np.abs(p).min() >= _TINY else _partials(f, p)
+        partial *= cs[terms]
+        grads = np.take(d_tables, codes, axis=1)
+        grads *= partial
+        m = len(p)
+        rows[1 : m + 1] = grads.reshape(2 * n, m).T
+        rows[0] = np.einsum("tk->k", rows[: m + 1])
+    return float(cs @ prod), rows[0, :n].copy(), rows[0, n:].copy()
 
 
 def _minimize_local(h: Operator, theta0: np.ndarray, phi0: np.ndarray) -> tuple[BlochState, float]:

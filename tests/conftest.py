@@ -230,11 +230,60 @@ def lexsort_ladder_terms(
 
 
 def shift_letter_codes(h: Operator) -> np.ndarray:
-    """Letter-code table built by shifting every mask by every qubit."""
+    """[terms x qubits] letter-code table built by shifting every mask by every qubit."""
     shifts = np.arange(h.n_qubits, dtype=np.uint64)
     x = (h.x_masks[:, None] >> shifts) & np.uint64(1)
     z = (h.z_masks[:, None] >> shifts) & np.uint64(1)
     return (x + 2 * z + 4 * shifts).astype(np.intp)
+
+
+def rowwise_factor_table(s: BlochState) -> np.ndarray:
+    """Rows f, df/dtheta and df/dphi of the single-qubit expectation f; column
+    4j + c holds qubit j's value for letter code c (I, x, z, y)."""
+    st, ct = np.sin(s.theta), np.cos(s.theta)
+    sp, cp = np.sin(s.phi), np.cos(s.phi)
+    one, zero = np.ones_like(st), np.zeros_like(st)
+    rows = [[one, st * cp, ct, st * sp], [zero, ct * cp, -st, ct * sp], [zero, -st * sp, zero, st * cp]]
+    return np.array(rows).transpose(0, 2, 1).reshape(3, -1)
+
+
+def rowwise_energy(s: BlochState, h: Operator) -> float:
+    """Product-state energy from a [terms x qubits] factor array, each term's
+    product a row `prod`: the bits the qubit-major kernel must reproduce."""
+    if h.is_empty:
+        return 0.0
+    return float(h.coefficients @ rowwise_factor_table(s)[0][shift_letter_codes(h)].prod(axis=1))
+
+
+def rowwise_energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, np.ndarray]:
+    """Energy and analytic gradients over [terms x qubits] arrays, summed by
+    `np.einsum` over those row-major operands: the bits the qubit-major
+    kernel must reproduce."""
+    n = h.n_qubits
+    if h.is_empty:
+        return 0.0, np.zeros(n), np.zeros(n)
+    f_table, dth_table, dph_table = rowwise_factor_table(s)
+    codes = shift_letter_codes(h)
+    f = f_table[codes]
+
+    prod = f.prod(axis=1)
+    cs = h.coefficients
+    e = float(cs @ prod)
+
+    # product over the other factors; a term with two or more zero factors
+    # has prod == 0, so dividing already gives it zero partials.  Subnormal
+    # factors count as zero: their product keeps too few bits to divide by.
+    zero = np.abs(f) < np.finfo(np.float64).tiny
+    denom = np.where(zero, 1.0, f)
+    partial = prod[:, None] / denom
+    one_zero = zero.sum(axis=1) == 1
+    if one_zero.any():
+        rest = denom[one_zero].prod(axis=1)
+        partial[one_zero] = np.where(zero[one_zero], rest[:, None], 0.0)
+
+    g_theta = np.einsum("t,tj,tj->j", cs, partial, dth_table[codes])
+    g_phi = np.einsum("t,tj,tj->j", cs, partial, dph_table[codes])
+    return e, g_theta, g_phi
 
 
 def symmetry_commutes(p: PauliWord, s: Operator) -> bool:

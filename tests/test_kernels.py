@@ -212,6 +212,18 @@ def test_rotation_memo_lives_with_its_operators():
     assert all(r() is None for r in refs)
 
 
+def test_rotation_plans_keep_read_only_intp_indices():
+    h = Operator.from_labels({"XZ": 1.0, "ZZ": 0.5, "IZ": 0.25, "YX": -0.75})
+    p = PauliWord.from_label("ZY")
+    for commuting in (True, False):
+        rotate(h, p, 0.6, 0.8, commuting)
+        plan = h._memo[(p.x_mask, p.z_mask, commuting)]
+        for a in (plan.src, plan.factor, plan.word, plan.first):
+            assert a.dtype == np.intp and not a.flags.writeable
+        # a warm call gathers through them and still merges as a fresh one
+        _assert_same_operator(rotate(h, p, 0.8, -0.6, commuting), concat_rotate(h, p, 0.8, -0.6, commuting))
+
+
 def test_other_word_sets_start_with_an_empty_memo():
     h = Operator.from_labels({"XZ": 1.0, "ZZ": 0.5, "IZ": 1e-9, "XX": 0.25})
     p = PauliWord.from_label("ZY")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqcc.exact import ground_state
@@ -27,6 +27,9 @@ from conftest import (
     random_operator,
     random_word,
     reference_expectation,
+    rowwise_energy,
+    rowwise_energy_and_gradient,
+    rowwise_factor_table,
     shift_letter_codes,
 )
 
@@ -138,9 +141,10 @@ def test_letter_codes_match_shift_reference(data):
     words = data.draw(st.lists(st.tuples(masks, masks), max_size=20))
     h = Operator(n, [(PauliWord(n, x, z), 1.0) for x, z in words])
     codes = _letter_codes(h)
-    want = shift_letter_codes(h)
+    want = shift_letter_codes(h).T
     assert codes.dtype == want.dtype == np.intp
     assert codes.shape == want.shape and np.array_equal(codes, want)
+    assert codes.flags.c_contiguous and not codes.flags.writeable
 
 
 # exact poles make x, y or z factors exactly zero, one or several per term
@@ -175,6 +179,87 @@ def test_energy_and_gradient_match_statevector_oracle(case):
         fd_p -= _statevector_expectation(BlochState(s.theta, s.phi - d), h)
         assert gt[j] == pytest.approx(fd_t / (2 * step), abs=1e-7)
         assert gp[j] == pytest.approx(fd_p / (2 * step), abs=1e-7)
+
+
+# subnormal angles give subnormal x and y factors; 1e-6 on 64 qubits gives
+# products that underflow with no factor below the smallest normal float
+KERNEL_ANGLES = ANGLES | st.sampled_from([5e-324, -5e-324, 1e-310, 1e-6, math.pi - 1e-6])
+
+
+@st.composite
+def kernel_case(draw):
+    n = draw(st.sampled_from([1, 64]) | st.integers(1, 8))
+    theta = draw(st.lists(KERNEL_ANGLES, min_size=n, max_size=n))
+    phi = draw(st.lists(KERNEL_ANGLES, min_size=n, max_size=n))
+    masks = st.integers(0, (1 << n) - 1) | st.just((1 << n) - 1)
+    terms = draw(st.lists(st.tuples(masks, masks, st.floats(-2.0, 2.0)), max_size=30))
+    return BlochState(theta, phi), Operator(n, [(PauliWord(n, x, z), c) for x, z, c in terms])
+
+
+def _assert_same_bits(s: BlochState, h: Operator):
+    e, gt, gp = energy_and_gradient(s, h)
+    want_e, want_gt, want_gp = rowwise_energy_and_gradient(s, h)
+    assert np.float64(e).tobytes() == np.float64(want_e).tobytes()
+    assert np.float64(energy(s, h)).tobytes() == np.float64(rowwise_energy(s, h)).tobytes() == np.float64(e).tobytes()
+    assert gt.dtype == gp.dtype == np.float64 and gt.shape == gp.shape == (h.n_qubits,)
+    assert gt.tobytes() == want_gt.tobytes() and gp.tobytes() == want_gp.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_case())
+@example((BlochState([0.0], [0.0]), Operator.zero(1)))
+@example((BlochState(np.full(64, 1e-6), np.zeros(64)), Operator.zero(64)))
+@example((BlochState(np.full(64, 1e-6), np.zeros(64)), Operator.from_labels({"X" * 64: 1.0, "Z" * 64: -0.5})))
+def test_kernels_match_rowwise_references(case):
+    _assert_same_bits(*case)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernels_match_rowwise_references_past_the_einsum_buffer(seed):
+    # np.einsum buffers 8,192 elements; the gradient sums must stay one
+    # running sum over all terms
+    rng = np.random.default_rng(seed)
+    n = 8
+    words = rng.choice(1 << (2 * n), 12_000, replace=False)
+    h = Operator._from_raw(n, words >> n, words & ((1 << n) - 1), rng.normal(size=len(words)))
+    assert len(h) > 8192
+    theta, phi = rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n)
+    _assert_same_bits(BlochState(theta, phi), h)
+    theta[[1, 4]], phi[[2, 5]] = 0.0, 0.0  # exact zero factors
+    theta[6] = 5e-324  # subnormal ones
+    _assert_same_bits(BlochState(theta, phi), h)
+
+
+def test_bloch_state_copies_its_angles():
+    th, ph = np.array([0.3, 1.0]), np.array([0.0, 0.0])
+    s = BlochState(th, ph)
+    assert th.flags.writeable and ph.flags.writeable
+    assert not s.theta.flags.writeable and not s.phi.flags.writeable
+    th[0] = 2.0
+    assert s.theta[0] == 0.3
+
+    # a state built from views of one array does not follow writes to it
+    zi = Operator.from_labels({"ZI": 1.0})
+    x = np.array([0.3, 1.0, 0.0, 0.0])
+    s = BlochState(x[:2], x[2:])
+    e, gt, gp = energy_and_gradient(s, zi)
+    assert energy(s, zi) == e == pytest.approx(math.cos(0.3))
+    x[0] = 2.0
+    assert s.theta[0] == 0.3 and energy(s, zi) == e
+    assert np.array_equal(energy_and_gradient(s, zi)[1], gt)
+
+
+def test_factor_table_is_built_once_read_only_and_per_state():
+    s = BlochState(np.array([0.3, 4.0, 5e-324]), np.array([7.0, -1.0, 0.0]))
+    table = s.factor_table
+    assert table is s.factor_table and not table.flags.writeable
+    assert table.tobytes() == rowwise_factor_table(s).tobytes()
+    # theta = 4 lies past pi, so normalizing moves every angle of qubit 1
+    t = s.normalized()
+    assert t.factor_table is not table
+    assert t.factor_table.tobytes() == rowwise_factor_table(t).tobytes()
+    assert not np.array_equal(t.factor_table, table)
+    assert s.factor_table is table and table.tobytes() == rowwise_factor_table(s).tobytes()
 
 
 def test_energy_invariant_under_phi_shift_on_diagonal_qubits(rng):
