@@ -41,9 +41,8 @@ def compress(h: Operator, epsilon: float) -> tuple[Operator, CompressionReport]:
 
     xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
     mags = np.abs(cs)
-    droppable = ~((xs == 0) & (zs == 0))  # identity exempt
-    order = np.lexsort((zs[droppable], xs[droppable], mags[droppable]))
-    cand = np.flatnonzero(droppable)[order]  # ascending |c|
+    cand = np.flatnonzero((xs | zs) != 0)  # identity exempt
+    cand = cand[np.argsort(mags[cand], kind="stable")]  # ascending |c|, ties in (x, z) order
 
     budget = epsilon * epsilon / 2.0**h.n_qubits
     tail = np.cumsum(cs[cand] ** 2)

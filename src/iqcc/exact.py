@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .pauli import DimensionError, Operator, PauliWord, parity_signs
+from .pauli import DimensionError, Operator, PauliWord, flip_runs, parity_signs
 
 DENSE_QUBIT_LIMIT = 10
 ITERATIVE_QUBIT_LIMIT = 16
@@ -114,25 +114,23 @@ def apply_word(vec: np.ndarray, w: PauliWord) -> np.ndarray:
 class _MatrixRows:
     """Rows of the matrix of h as CSR blocks, built `block` rows at a time.
 
-    Row i holds, per flip run in ascending x order, column i ^ x and value
-    <i|h|i ^ x>: the run's c * (-i)**#y * (-1)**popcount(i & z) summed in
-    term order by one CSR product of the run-by-term incidence matrix with a
-    [terms x block] sign table.  A block is a power of two rows, so the sign is
-    the block start's times a table of the offsets' (c * (-i)**#y folded in).
+    Row i holds, per flip run (`pauli.flip_runs`) in ascending x order, column
+    i ^ x and value <i|h|i ^ x>: the run's c * (-i)**#y * (-1)**popcount(i & z)
+    summed in term order by one CSR product of the run-by-term incidence matrix
+    with a [terms x block] sign table.  A block is a power of two rows, so the
+    sign is the block start's times a table of the offsets' (c * (-i)**#y folded in).
     """
 
     def __init__(self, h: Operator):
         xs, self.zs = h.x_masks, h.z_masks
-        run_x, first = np.unique(xs, return_index=True)
+        run_x, bounds = flip_runs(h)
         self.run_x = run_x.astype(np.int32)  # column offsets: int32 CSR indices
-        self.dim, self.runs, terms = 1 << h.n_qubits, len(first), len(xs)
+        self.dim, self.runs, terms = 1 << h.n_qubits, len(run_x), len(xs)
         self.block = 1 << min(h.n_qubits, max(0, (_BLOCK_ENTRIES // max(self.runs, 1)).bit_length() - 1))
         phase = np.array([1, -1j, -1, 1j])[np.bitwise_count(xs & self.zs) & 3]
         coef = h.coefficients * (phase if phase.imag.any() else phase.real)
         self.low = coef[:, None] * parity_signs(np.arange(self.block, dtype=np.uint64), self.zs[:, None])
-        # the canonical terms of one run are contiguous and in term order
-        indptr = np.append(first, terms)
-        self.incidence = csr_array((np.ones(terms, self.low.dtype), np.arange(terms), indptr), (self.runs, terms))
+        self.incidence = csr_array((np.ones(terms, self.low.dtype), np.arange(terms), bounds), (self.runs, terms))
 
     def __call__(self, start: int, stop: int) -> csr_array:
         """Rows start..stop-1 (multiples of the block) as a CSR matrix; its

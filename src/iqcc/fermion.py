@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exact
 from .pauli import MAX_QUBITS, DimensionError, Operator, ParseError, frozen, parity_signs, word_products
-from .pauli import _canonical_arrays, _word_order
+from .pauli import _merge, _merge_plan, _word_order
 
 logger = logging.getLogger(__name__)
 
@@ -228,14 +228,16 @@ def _ladder_terms(
 def _realize(n: int, *terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Operator:
     """Real Operator of the summed terms, whose imaginary parts must cancel.
 
-    Both parts go through the canonical merge, so each coefficient is a
-    running sum over the terms in the order given.
+    One canonical merge plan serves both parts, so each coefficient and each
+    imaginary residue is a running sum over the terms in the order given.
     """
     xs, zs, cs = (np.concatenate(a) for a in zip(*terms))
-    residue = _canonical_arrays(xs, zs, cs.imag, _REALITY_TOL)[2]
-    if len(residue):
-        raise ArithmeticError(f"mapped operator has imaginary weight {np.abs(residue).max():g}")
-    return Operator._from_raw(n, xs, zs, cs.real)
+    word, first = _merge_plan(xs, zs)
+    residue, imaginary = _merge(word, cs.imag, _REALITY_TOL)
+    if imaginary.any():
+        raise ArithmeticError(f"mapped operator has imaginary weight {np.abs(residue[imaginary]).max():g}")
+    sums, keep = _merge(word, cs.real)
+    return Operator._from_canonical(n, xs[first[keep]], zs[first[keep]], sums[keep])
 
 
 def _map_hamiltonian(data: IntegralData, mapping: str) -> Operator:
@@ -288,8 +290,9 @@ def excitation_words(n_so: int) -> tuple[np.ndarray, np.ndarray]:
     )
     x, z, c = (np.concatenate(t) for t in zip(singles, doubles))
     keep = (c.imag != 0.0) & ((x | z) != 0)
-    words = np.unique(np.stack([x[keep], z[keep]], axis=1), axis=0)
-    return frozen(words[:, 0].copy(), words[:, 1].copy())
+    x, z = x[keep], z[keep]
+    first = _merge_plan(x, z)[1]
+    return frozen(x[first], z[first])
 
 
 # -- symmetry operators ----------------------------------------------------------

@@ -188,7 +188,8 @@ def _merge_plan(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     of the distinct word each term lands on, and the first term of each
     distinct word (ordered stably, by `_word_order`), as intp arrays."""
     order, new_word = _word_order(xs, zs)
-    first = np.concatenate(([True], new_word))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = new_word
     word = np.empty_like(order)
     word[order] = np.cumsum(first, dtype=order.dtype) - 1
     return word, order[first]
@@ -229,18 +230,26 @@ class Operator:
         cs = np.fromiter((float(c) for _, c in words), dtype=np.float64, count=len(words))
         if not np.isfinite(cs).all():
             raise ValueError("operator coefficients must be finite")
+        n_qubits = int(n_qubits)
         for w, _ in words:
             if w.n_qubits != n_qubits:
                 raise DimensionError(f"term on {w.n_qubits} qubits in {n_qubits}-qubit operator")
-        self.n_qubits = int(n_qubits)
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
+        if not 1 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
-        self._xs, self._zs, self._cs = _canonical_arrays(xs, zs, cs)
-        self._memo = {}
-        self._freeze()
+        self._adopt(n_qubits, *_canonical_arrays(xs, zs, cs))
 
-    def _freeze(self) -> None:
-        frozen(self._xs, self._zs, self._cs)
+    def _adopt(
+        self, n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, memo: dict | None = None
+    ) -> "Operator":
+        """Hold these canonical arrays, read-only, and `memo` (a new one if None)."""
+        self.n_qubits = n_qubits
+        self._xs, self._zs, self._cs = frozen(
+            np.ascontiguousarray(xs, dtype=np.uint64),
+            np.ascontiguousarray(zs, dtype=np.uint64),
+            np.ascontiguousarray(cs, dtype=np.float64),
+        )
+        self._memo = {} if memo is None else memo
+        return self
 
     def _memoized(self, build):
         """build(self), computed once per word set: every operator holding these
@@ -252,16 +261,8 @@ class Operator:
     @classmethod
     def _from_raw(cls, n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray) -> "Operator":
         """Canonicalize raw parallel arrays (internal fast path)."""
-        op = cls.__new__(cls)
-        op.n_qubits = n_qubits
-        op._xs, op._zs, op._cs = _canonical_arrays(
-            np.ascontiguousarray(xs, dtype=np.uint64),
-            np.ascontiguousarray(zs, dtype=np.uint64),
-            np.ascontiguousarray(cs, dtype=np.float64),
-        )
-        op._memo = {}
-        op._freeze()
-        return op
+        xs, zs = np.asarray(xs, dtype=np.uint64), np.asarray(zs, dtype=np.uint64)
+        return cls._from_canonical(n_qubits, *_canonical_arrays(xs, zs, np.asarray(cs, dtype=np.float64)))
 
     @classmethod
     def _from_canonical(
@@ -269,14 +270,7 @@ class Operator:
     ) -> "Operator":
         """Adopt arrays already in canonical order (internal fast path); `memo`
         is that of operators holding the very same mask arrays, if any."""
-        op = cls.__new__(cls)
-        op.n_qubits = n_qubits
-        op._xs = np.ascontiguousarray(xs, dtype=np.uint64)
-        op._zs = np.ascontiguousarray(zs, dtype=np.uint64)
-        op._cs = np.ascontiguousarray(cs, dtype=np.float64)
-        op._memo = {} if memo is None else memo
-        op._freeze()
-        return op
+        return cls.__new__(cls)._adopt(n_qubits, xs, zs, cs, memo)
 
     @classmethod
     def zero(cls, n_qubits: int) -> "Operator":
@@ -381,13 +375,15 @@ def anticommuting(h: Operator, p: PauliWord) -> np.ndarray:
     return (np.bitwise_count((h.x_masks & pz) ^ (h.z_masks & px)) & 1).astype(bool)
 
 
-def flip_runs(h: Operator) -> list[tuple[int, slice]]:
-    """(x_mask, slice) of each run of equal x_mask in the canonical term arrays."""
-    if h.is_empty:
-        return []
+def flip_runs(h: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of equal x_mask in the canonical term arrays: each run's x mask,
+    ascending, and the runs' bounds, len(runs) + 1 term indices (run r holds
+    terms bounds[r] to bounds[r + 1] - 1)."""
     xs = h.x_masks
-    edges = [0, *(np.flatnonzero(xs[1:] != xs[:-1]) + 1).tolist(), len(xs)]
-    return [(int(xs[a]), slice(a, b)) for a, b in zip(edges, edges[1:])]
+    new_run = np.ones(len(xs), dtype=bool)
+    new_run[1:] = xs[1:] != xs[:-1]
+    starts = np.flatnonzero(new_run)
+    return xs[starts], np.append(starts, len(xs))
 
 
 def _rotation_terms(

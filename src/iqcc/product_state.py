@@ -35,10 +35,10 @@ _TINY = np.finfo(np.float64).tiny  # smallest normal float64
 _BLOCK = 4096  # terms per block of the energy kernels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochState:
-    """Product state parametrized by 2n Bloch angles (radians); it keeps
-    read-only copies of the angles it is given."""
+    """Product state parametrized by 2n Bloch angles (radians), compared and
+    hashed by identity; it keeps read-only copies of the angles it is given."""
 
     theta: np.ndarray
     phi: np.ndarray
@@ -220,7 +220,7 @@ def _minimize_local(h: Operator, theta0: np.ndarray, phi0: np.ndarray) -> tuple[
 
 
 def qmf_minimize(h: Operator, n_guesses: int = 10, rng_seed: int = 0) -> tuple[BlochState, float]:
-    """Best product-state minimum over `n_guesses` random-angle starts."""
+    """Best finite product-state minimum over `n_guesses` random-angle starts."""
     if n_guesses < 1:
         raise ValueError("n_guesses must be >= 1")
     n = h.n_qubits
@@ -231,8 +231,10 @@ def qmf_minimize(h: Operator, n_guesses: int = 10, rng_seed: int = 0) -> tuple[B
         phi0 = rng.uniform(0.0, 2.0 * math.pi, n)
         state, e = _minimize_local(h, theta0, phi0)
         logger.debug("mean-field guess=%d energy=%.12f", guess, e)
-        if e < best_e:
+        if math.isfinite(e) and e < best_e:
             best_state, best_e = state, e
+    if best_state is None:
+        raise ArithmeticError(f"no mean-field start of {n_guesses} reached a finite energy")
     return best_state, best_e
 
 

@@ -8,7 +8,7 @@ z-collapsed reference.  Each such sector labels a group of 2**(n-1) words
 with identical gradient magnitude, summarized by one representative.
 
 One kernel, `_gradients`, scores any array of generator words: it pairs each
-word with the flip run of h that has its flip set, so building the whole
+word with the flip run of h that has its flip set (`pauli.flip_runs`), so the
 screening set forms one (word, term) pair per off-diagonal term of h.
 """
 
@@ -50,9 +50,10 @@ def partition_sectors(h: Operator) -> list[FlipSector]:
     bounded by the term count.
     """
     xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
+    runs, bounds = flip_runs(h)
     return [
-        FlipSector(mask_bits(x), Operator._from_canonical(h.n_qubits, xs[sl], zs[sl], cs[sl]))
-        for x, sl in flip_runs(h)
+        FlipSector(mask_bits(x), Operator._from_canonical(h.n_qubits, xs[a:b], zs[a:b], cs[a:b]))
+        for x, a, b in zip(runs.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
     ]
 
 
@@ -74,12 +75,12 @@ def _gradients(h: Operator, ref: PurifiedReference, px: np.ndarray, pz: np.ndarr
     """
     if h.n_qubits != ref.n_qubits:
         raise DimensionError("reference/operator qubit mismatch")
-    runs, first, size = np.unique(h.x_masks, return_index=True, return_counts=True)
+    runs, bounds = flip_runs(h)
     hits = np.flatnonzero(np.isin(px, runs) & (px != 0))
     at = np.searchsorted(runs, px[hits])
-    length = size[at]
+    length = bounds[at + 1] - bounds[at]
     word = np.repeat(hits, length)
-    term = np.repeat(first[at] - np.cumsum(length) + length, length) + np.arange(len(word))
+    term = np.repeat(bounds[at] - np.cumsum(length) + length, length) + np.arange(len(word))
     _, z, k = word_products(h.x_masks[term], h.z_masks[term], px[word], pz[word])
     anti = np.flatnonzero(k % 2 == 1)  # anticommuting pairs, for which -i * i**k is +-1
     anti = anti[np.lexsort((z[anti], word[anti]))]
@@ -95,17 +96,17 @@ def build_dis(h: Operator, ref: PurifiedReference) -> list[GradientGroup]:
 
     The representative has y on the smallest flip index and x on the
     others.  Sorted by descending gradient magnitude, ties broken by the
-    representative's (x_mask, z_mask) order.  Cost is linear in the term
-    count of h.
+    representative's (x_mask, z_mask) order, which is that of the flip runs.
+    Cost is linear in the term count of h.
     """
-    xs = np.unique(h.x_masks)
+    xs = flip_runs(h)[0]
     xs = xs[xs != 0]
     zs = xs & -xs
     grad = _gradients(h, ref, xs, zs)
     n = h.n_qubits
     return [
         GradientGroup(mask_bits(int(xs[i])), PauliWord(n, int(xs[i]), int(zs[i])), float(grad[i]))
-        for i in np.lexsort((zs, xs, -grad))
+        for i in np.argsort(-grad, kind="stable")
     ]
 
 

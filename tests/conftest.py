@@ -18,14 +18,15 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from iqcc.fermion import IntegralData
+from iqcc.compression import CompressionReport
+from iqcc.fermion import _REALITY_TOL, IntegralData, _jw_majoranas, _ladder_terms
 from iqcc.pauli import (
     MERGE_TOL,
     Operator,
     PauliWord,
+    _canonical_arrays,
     anticommuting,
     commutator_half,
-    flip_runs,
     parity_signs,
     phase_value,
     word_products,
@@ -170,6 +171,60 @@ def lexsort_canonical_arrays(
     return xs[starts][keep], zs[starts][keep], sums[keep]
 
 
+def unique_flip_runs(h: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Flip runs by `np.unique` over the x masks: each run's x mask and the run
+    bounds, the arrays `flip_runs` must reproduce."""
+    runs, first = np.unique(h.x_masks, return_index=True)
+    return runs, np.append(first, len(h))
+
+
+def two_merge_realize(n: int, *terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Operator:
+    """`fermion._realize` with the imaginary residue and the real part each
+    merged canonically on its own: the operator whose bits the one-plan merge
+    must reproduce."""
+    xs, zs, cs = (np.concatenate(a) for a in zip(*terms))
+    residue = _canonical_arrays(xs, zs, cs.imag, _REALITY_TOL)[2]
+    if len(residue):
+        raise ArithmeticError(f"mapped operator has imaginary weight {np.abs(residue).max():g}")
+    return Operator._from_raw(n, xs, zs, cs.real)
+
+
+def unique_excitation_words(n_so: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct excitation words by `np.unique(axis=0)` over the stacked (x, z)
+    masks: the arrays `fermion.excitation_words` must reproduce."""
+    table = _jw_majoranas(n_so)
+    p, q = np.triu_indices(n_so, 1)
+    a, b = np.triu_indices(len(p), 1)
+    singles = _ladder_terms(table, np.stack([p, q], axis=1), (True, False), np.ones(len(p)))
+    doubles = _ladder_terms(
+        table, np.stack([p[a], q[a], q[b], p[b]], axis=1), (True, True, False, False), np.ones(len(a))
+    )
+    x, z, c = (np.concatenate(t) for t in zip(singles, doubles))
+    keep = (c.imag != 0.0) & ((x | z) != 0)
+    words = np.unique(np.stack([x[keep], z[keep]], axis=1), axis=0)
+    return words[:, 0].copy(), words[:, 1].copy()
+
+
+def lexsort_compress(h: Operator, epsilon: float) -> tuple[Operator, CompressionReport]:
+    """`compress` with its candidates ordered by a three-key lexsort on
+    (|c|, x, z): the result whose bits the one-key stable sort must reproduce."""
+    m = len(h)
+    xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
+    mags = np.abs(cs)
+    droppable = ~((xs == 0) & (zs == 0))
+    cand = np.flatnonzero(droppable)[np.lexsort((zs[droppable], xs[droppable], mags[droppable]))]
+    tail = np.cumsum(cs[cand] ** 2)
+    k = int(np.searchsorted(tail, epsilon * epsilon / 2.0**h.n_qubits, side="right"))
+    if 0 < k < len(cand):
+        k = int(np.searchsorted(mags[cand], mags[cand[k]], side="left"))
+    if k == 0:
+        return h, CompressionReport(epsilon, m, m, 0.0)
+    keep = np.ones(m, dtype=bool)
+    keep[cand[:k]] = False
+    kept = Operator._from_canonical(h.n_qubits, xs[keep], zs[keep], cs[keep])
+    return kept, CompressionReport(epsilon, m, len(kept), float(np.sqrt(2.0**h.n_qubits * tail[k - 1])))
+
+
 def commutator_terms(
     xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, p: PauliWord
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,11 +362,14 @@ def reference_expectation(ref: PurifiedReference, h: Operator) -> float:
 def run_matvec(h: Operator, v: np.ndarray) -> np.ndarray:
     """h @ v for a real h, flip run by flip run in ascending x, each run's
     diagonal summed in term order: the order whose bits the sparse matvec keeps."""
+    runs: dict[int, list[int]] = {}
+    for i, x in enumerate(h.x_masks.tolist()):
+        runs.setdefault(x, []).append(i)
     idx = np.arange(v.size, dtype=np.uint64)
     out = np.zeros(v.size, dtype=np.result_type(v.dtype, np.float64))
-    for x, sl in flip_runs(h):
+    for x, terms in sorted(runs.items()):
         diag = np.zeros(v.size)
-        for z, c in zip(h.z_masks[sl], h.coefficients[sl]):
+        for z, c in zip(h.z_masks[terms], h.coefficients[terms]):
             diag += (c * phase_value((x & int(z)).bit_count())) * parity_signs(idx, z)
         out += (diag * v)[idx ^ np.uint64(x)]
     return out

@@ -310,3 +310,11 @@ def test_non_finite_input_is_user_error(tmp_path, capsys, name, command, text, l
     path.write_text(text)
     assert main(["--outdir", str(tmp_path), command, str(path)]) == 1
     assert f"line {line}: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
+def test_run_with_no_finite_mean_field_start_is_solver_failure(tmp_path, capsys):
+    op = tmp_path / "huge.op"
+    op.write_text("1e308 ZI\n1e308 IZ\n1.0 XX\n")
+    assert main(["--outdir", str(tmp_path), "run", str(op), "--steps", "1", "--guesses", "1", "--seed", "0"]) == 2
+    assert "error: solver failed: no mean-field start of 1 reached a finite energy" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from iqcc.compression import compress
 from iqcc.pauli import Operator, PauliWord, frobenius_norm
 
-from conftest import dense_op, random_operator
+from conftest import dense_op, lexsort_compress, random_operator
 
 
 def _mixed_scale_operator(rng, n, n_terms):
@@ -139,3 +139,16 @@ def test_compress_matches_dense_oracle(case):
     droppable_kept = [abs(c) for w, c in kept.items() if not w.is_identity]
     # every dropped term is strictly smaller than every kept one: ties at the cut stay
     assert not dropped or not droppable_kept or max(dropped) < min(droppable_kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_and_epsilon())
+def test_compress_matches_lexsort_reference(case):
+    h, epsilon = case
+    out, report = compress(h, epsilon)
+    want, want_report = lexsort_compress(h, epsilon)
+    assert report == want_report
+    assert out.n_qubits == want.n_qubits
+    for name in ("x_masks", "z_masks", "coefficients"):
+        got, ref = getattr(out, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import iqcc.fermion as fermion_module
 from iqcc.exact import BudgetError, ground_state
 from iqcc.fermion import (
     IntegralData,
@@ -37,6 +38,8 @@ from conftest import (
     lexsort_ladder_terms,
     random_integrals,
     symmetry_commutes,
+    two_merge_realize,
+    unique_excitation_words,
 )
 
 
@@ -153,10 +156,38 @@ def test_realize_rejects_imaginary_residue():
     # a lone hopping term a+_0 a_1 is not Hermitian, so its image has imaginary weight
     table = _jw_majoranas(2)
     hop = _ladder_terms(table, np.array([[0, 1]]), (True, False), np.ones(1))
-    with pytest.raises(ArithmeticError, match="imaginary weight"):
+    with pytest.raises(ArithmeticError, match="imaginary weight") as got:
         _realize(2, hop)
+    with pytest.raises(ArithmeticError) as want:
+        two_merge_realize(2, hop)
+    assert str(got.value) == str(want.value)
     back = _ladder_terms(table, np.array([[1, 0]]), (True, False), np.ones(1))
     assert _realize(2, hop, back) == Operator.from_labels({"XX": 0.5, "YY": 0.5})
+
+
+def _assert_same_operator(got: Operator, want: Operator) -> None:
+    assert got.n_qubits == want.n_qubits
+    for name in ("x_masks", "z_masks", "coefficients"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_spatial", [1, 2, 3, 5])
+def test_mapped_operators_match_two_merge_reference(monkeypatch, n_spatial):
+    data = random_integrals(np.random.default_rng(n_spatial), n_spatial)
+    builds = [lambda: jordan_wigner(data), lambda: parity_map(data)]
+    for kind, mapping in itertools.product(("n", "sz", "s2"), ("jw", "parity")):
+        builds.append(lambda k=kind, m=mapping: build_symmetry_operator(k, data.n_so, m))
+    got = [build() for build in builds]
+    monkeypatch.setattr(fermion_module, "_realize", two_merge_realize)
+    for op, build in zip(got, builds):
+        _assert_same_operator(op, build())
+
+
+@pytest.mark.parametrize("n_so", range(2, 13))
+def test_excitation_words_match_unique_reference(n_so):
+    for a, b in zip(excitation_words(n_so), unique_excitation_words(n_so)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("mapping", ["jw", "parity"])

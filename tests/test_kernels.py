@@ -30,7 +30,7 @@ from iqcc.pauli import (
 )
 from iqcc.product_state import _letter_codes
 
-from conftest import commutator_terms, concat_rotate, lexsort_canonical_arrays
+from conftest import commutator_terms, concat_rotate, lexsort_canonical_arrays, unique_flip_runs
 
 N_QUBITS = st.integers(1, 64)
 
@@ -84,13 +84,34 @@ def test_flip_runs_match_naive_group_by(data):
     runs = {}
     for i, x in enumerate(h.x_masks.tolist()):
         runs.setdefault(x, []).append(i)
-    assert [(x, list(range(len(h)))[sl]) for x, sl in flip_runs(h)] == list(runs.items())
+    run_x, bounds = flip_runs(h)
+    assert len(bounds) == len(run_x) + 1
+    edges = bounds.tolist()
+    assert [(x, list(range(a, b))) for x, a, b in zip(run_x.tolist(), edges, edges[1:])] == list(runs.items())
     assert all(mask_bits(x) == {j for j in range(n) if (x >> j) & 1} for x in runs)
 
 
+def _assert_same_arrays(got, want):
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_flip_runs_empty_and_single():
-    assert flip_runs(Operator.zero(3)) == []
-    assert flip_runs(Operator.from_labels({"XIY": 0.5})) == [(0b101, slice(0, 1))]
+    run_x, bounds = flip_runs(Operator.zero(3))
+    assert run_x.tolist() == [] and bounds.tolist() == [0]
+    run_x, bounds = flip_runs(Operator.from_labels({"XIY": 0.5}))
+    assert run_x.tolist() == [0b101] and bounds.tolist() == [0, 1]
+    for n in (1, 64):
+        for h in (Operator.zero(n), Operator(n, [(PauliWord(n, (1 << n) - 1, 1), 0.5)])):
+            _assert_same_arrays(flip_runs(h), unique_flip_runs(h))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flip_runs_match_unique_reference(data):
+    n = data.draw(N_QUBITS)
+    h = Operator(n, [(w, 1.0) for w in data.draw(words(n))])
+    _assert_same_arrays(flip_runs(h), unique_flip_runs(h))
 
 
 @settings(max_examples=200, deadline=None)

@@ -249,6 +249,12 @@ def test_bloch_state_copies_its_angles():
     assert np.array_equal(energy_and_gradient(s, zi)[1], gt)
 
 
+def test_bloch_state_equality_is_identity_and_it_hashes():
+    s, t = BlochState(np.zeros(2), np.zeros(2)), BlochState(np.zeros(2), np.zeros(2))
+    assert s == s and s != t
+    assert hash(s) == hash(s) and len({s, t, s}) == 2
+
+
 def test_factor_table_is_built_once_read_only_and_per_state():
     s = BlochState(np.array([0.3, 4.0, 5e-324]), np.array([7.0, -1.0, 0.0]))
     table = s.factor_table
@@ -293,6 +299,25 @@ def test_qmf_minimize_diagonal_reaches_min_entry(rng):
     _, e = qmf_minimize(h, n_guesses=6, rng_seed=2)
     diag = np.diag(dense_op(h)).real
     assert e == pytest.approx(float(diag.min()), abs=1e-8)
+
+
+def test_qmf_minimize_keeps_only_finite_minima(monkeypatch):
+    import iqcc.product_state as product_state
+
+    energies = iter([-math.inf, math.nan, 2.0, math.inf, 1.0, 3.0])
+    monkeypatch.setattr(product_state, "_minimize_local", lambda h, th, ph: (BlochState(th, ph), next(energies)))
+    h = Operator.from_labels({"Z": 1.0})
+    assert qmf_minimize(h, n_guesses=6)[1] == 1.0
+    energies = iter([-math.inf, math.nan, math.inf])
+    with pytest.raises(ArithmeticError, match="no mean-field start of 3 reached a finite energy"):
+        qmf_minimize(h, n_guesses=3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
+def test_qmf_minimize_raises_when_the_energy_overflows():
+    h = Operator.from_labels({"ZI": 1e308, "IZ": 1e308, "XX": 1.0})
+    with pytest.raises(ArithmeticError, match="finite energy"):
+        qmf_minimize(h, n_guesses=1, rng_seed=0)
 
 
 def test_qmf_energy_above_ground(rng):
