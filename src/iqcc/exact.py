@@ -6,6 +6,12 @@ state i to i ^ x_mask with a sign and an i-phase, so h is a sparse matrix
 with one entry per row and flip run (terms of one x_mask).  It is real
 symmetric (float64) unless a term has an odd number of y letters (complex128).
 
+The iterative solve stops at the accuracy its caller checks, not at machine
+precision: ARPACK stops once its residual estimate is below _ARPACK_TOL * |E|,
+and the eigenvalue error is at most that residual squared over the spectral
+gap.  A pair that still misses the checked residual (large |E|) is resumed
+once from its own vector at machine precision.
+
 The matrix build and the matvec are shared out in chunks of whole row
 blocks between the calling thread and helper threads, one fewer than the
 CPUs in this process's affinity mask (`taskset` limits them).  Each output
@@ -21,7 +27,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .pauli import DimensionError, Operator, PauliWord, flip_runs, parity_signs
 
@@ -37,6 +43,9 @@ _BLOCK_ENTRIES = 1 << 18
 
 # Seed of the fixed start vector of the iterative solve.
 _V0_SEED = 7
+
+# ARPACK's relative stopping tolerance (its default, 0, is machine precision).
+_ARPACK_TOL = 1e-12
 
 _T = TypeVar("_T")
 _pool: ThreadPoolExecutor | None = None  # helper threads, made on first use
@@ -189,10 +198,12 @@ def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
 
     mode "dense" diagonalizes the full matrix (n <= 10); "iterative" runs
     ARPACK's implicitly restarted Lanczos (`eigsh`) over `make_matvec`
-    (n <= 16) from a fixed start vector and checks the residual
-    ||hv - ev|| < 1e-9; "auto" picks whichever budget admits.  Both work in
+    (n <= 16) from a fixed start vector to the relative tolerance
+    _ARPACK_TOL and checks the residual ||hv - ev|| < 1e-9 (see
+    `_arpack_lowest`); "auto" picks whichever budget admits.  Both work in
     float64 for real h.  Raises BudgetError beyond both budgets and
-    ArithmeticError when the iterative solve stalls or misses the residual.
+    ArithmeticError when a solve fails, stalls, misses the residual or
+    returns a non-finite eigenvalue (an h whose entries overflow).
     """
     if h.is_empty:
         raise ValueError("cannot solve an empty operator")
@@ -210,22 +221,33 @@ def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
     if n > DENSE_QUBIT_LIMIT:
         raise BudgetError(f"dense mode limited to {DENSE_QUBIT_LIMIT} qubits, got {n}")
     evals, evecs = np.linalg.eigh(dense_matrix(h))
+    if not np.isfinite(evals[0]):
+        raise ArithmeticError(f"dense eigensolver returned the non-finite eigenvalue {evals[0]}")
     return float(evals[0]), evecs[:, 0]
 
 
 def _arpack_lowest(h: Operator) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of h by eigsh over make_matvec, residual checked."""
+    """Lowest eigenpair of h by eigsh over make_matvec, residual checked.
+
+    The first solve stops at the relative tolerance _ARPACK_TOL.  ARPACK
+    bounds its residual by tol * |E|, so when |E| is large the pair can miss
+    the checked 1e-9; it is then resumed once from its own vector with
+    tol=0 (machine precision), and only a second miss raises.
+    """
     dim = 1 << h.n_qubits
     dtype = np.complex128 if (np.bitwise_count(h.x_masks & h.z_masks) & 1).any() else np.float64
     matvec = make_matvec(h)
-    v0 = np.random.default_rng(_V0_SEED).standard_normal(dim).astype(dtype)
+    vec = np.random.default_rng(_V0_SEED).standard_normal(dim).astype(dtype)
     op = LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
-    try:
-        evals, evecs = eigsh(op, k=1, which="SA", v0=v0)
-    except ArpackNoConvergence as exc:
-        raise ArithmeticError(f"ARPACK did not converge: {exc}") from exc
-    energy, vec = float(evals[0]), evecs[:, 0]
-    residual = float(np.linalg.norm(matvec(vec) - energy * vec))
-    if not residual < 1e-9:
-        raise ArithmeticError(f"ARPACK eigenpair misses residual 1e-9 (got {residual:g})")
-    return energy, vec
+    for tol in (_ARPACK_TOL, 0):
+        try:
+            evals, evecs = eigsh(op, k=1, which="SA", v0=vec, tol=tol)
+        except ArpackNoConvergence as exc:
+            raise ArithmeticError(f"ARPACK did not converge: {exc}") from exc
+        except ArpackError as exc:  # e.g. an overflowing h breaks the Arnoldi factorization
+            raise ArithmeticError(f"ARPACK failed: {exc}") from exc
+        energy, vec = float(evals[0]), evecs[:, 0]
+        residual = float(np.linalg.norm(matvec(vec) - energy * vec))
+        if residual < 1e-9:
+            return energy, vec
+    raise ArithmeticError(f"ARPACK eigenpair misses residual 1e-9 (got {residual:g})")

@@ -192,6 +192,10 @@ def _parity_majoranas(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _MAJORANAS = {"jw": _jw_majoranas, "parity": _parity_majoranas}
 
+# Ladder-product rows a mapping expands at once: 2**k words per row, so this
+# bounds the temporaries of `_ladder_terms` (five orbitals' 2,500 two-body rows fit in one).
+_LADDER_ROWS = 1 << 12
+
 
 def _ladder_terms(
     table: tuple[np.ndarray, np.ndarray], orbitals: np.ndarray, daggers: tuple[bool, ...], weights: np.ndarray
@@ -251,14 +255,20 @@ def _map_hamiltonian(data: IntegralData, mapping: str) -> Operator:
     p, q, r, s = (a[:, None] for a in pqrs)
     so, to = np.repeat(spins, 2), np.tile(spins, 2)
     two_body = np.stack([p + so, r + to, s + to, q + so], axis=-1).reshape(-1, 4)
+    two_weights = np.repeat(0.5 * data.g[pqrs], 4)
+    cuts = range(_LADDER_ROWS, len(two_body), _LADDER_ROWS)
     identity = np.zeros(1, dtype=np.uint64)
     # rows run in (p, q, spin) and (p, q, r, s, spin, spin) order, which fixes
-    # the order in which each coefficient is summed and so its rounding
+    # the order in which each coefficient is summed and so its rounding; the
+    # two-body rows are expanded _LADDER_ROWS at a time, in that order
     return _realize(
         data.n_so,
         (identity, identity, np.array([complex(data.e_core)])),
         _ladder_terms(table, one_body, (True, False), np.repeat(data.h[pq], 2)),
-        _ladder_terms(table, two_body, (True, True, False, False), np.repeat(0.5 * data.g[pqrs], 4)),
+        *(
+            _ladder_terms(table, rows, (True, True, False, False), weights)
+            for rows, weights in zip(np.split(two_body, cuts), np.split(two_weights, cuts))
+        ),
     )
 
 

@@ -313,8 +313,21 @@ def test_non_finite_input_is_user_error(tmp_path, capsys, name, command, text, l
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
-def test_run_with_no_finite_mean_field_start_is_solver_failure(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["exact"], ["exact", "--mode", "iterative"], ["run"]])
+def test_overflowing_operator_is_solver_failure(tmp_path, capsys, command):
+    # the oracle's matrix overflows; `run` solves that oracle before the iQCC loop
     op = tmp_path / "huge.op"
     op.write_text("1e308 ZI\n1e308 IZ\n1.0 XX\n")
+    assert main(["--outdir", str(tmp_path), command[0], str(op), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failed: ") and "internal" not in err
+    assert not list(tmp_path.glob("huge.*.*"))  # nothing written
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
+def test_run_with_no_finite_mean_field_start_is_solver_failure(tmp_path, capsys):
+    # 17 qubits are past the oracle's budget, so the run reaches the mean-field start
+    op = tmp_path / "huge.op"
+    op.write_text("".join(f"1e308 {'I' * j}Z{'I' * (16 - j)}\n" for j in range(17)) + f"1.0 XX{'I' * 15}\n")
     assert main(["--outdir", str(tmp_path), "run", str(op), "--steps", "1", "--guesses", "1", "--seed", "0"]) == 2
     assert "error: solver failed: no mean-field start of 1 reached a finite energy" in capsys.readouterr().err

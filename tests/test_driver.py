@@ -152,6 +152,17 @@ def test_optimize_step_raises_when_no_start_is_finite(monkeypatch, tmp_path):
     assert main(["--outdir", str(tmp_path), "run", str(op), "--steps", "1"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
+def test_overflowing_trial_point_is_a_failed_start_not_a_user_error():
+    # BFGS line searches on this operator step to infinite amplitudes
+    h = Operator.from_labels({"ZI": 1e308, "IZ": 1e308, "XX": 1.0})
+    try:
+        records = iqcc_run(h, IqccConfig(n_random_guesses=10))
+    except ArithmeticError:
+        return
+    assert all(math.isfinite(r.energy) for r in records)
+
+
 def test_fermionic_pool_converges_on_mapped_hamiltonian():
     from iqcc.fermion import jordan_wigner
     from iqcc.screening import fermionic_sd_pool

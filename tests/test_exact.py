@@ -274,6 +274,44 @@ def test_ground_state_dense_vs_iterative(rng):
             assert np.linalg.norm(apply_operator(h, vi) - ei * vi) < 1e-9
 
 
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_iterative_energy_matches_dense_to_1e_10(n):
+    rng = np.random.default_rng(n)
+    for odd_y in (False, True):
+        h = _operator(rng, n, odd_y)
+        assert abs(ground_state(h, mode="iterative")[0] - ground_state(h, mode="dense")[0]) < 1e-10
+
+
+def test_a_missed_residual_resumes_once_at_machine_precision(monkeypatch):
+    h = random_real_operator(np.random.default_rng(6), 6, 20)
+    arpack, calls, missed = exact.eigsh, [], []
+
+    def first_misses(*args, **kwargs):
+        calls.append(kwargs)
+        evals, evecs = arpack(*args, **kwargs)
+        if len(calls) == 1:
+            evecs = evecs + 1e-6 * np.roll(evecs, 1, axis=0)
+            missed.append(evecs[:, 0] / np.linalg.norm(evecs[:, 0]))
+            return evals, missed[0][:, None]
+        return evals, evecs
+
+    monkeypatch.setattr(exact, "eigsh", first_misses)
+    e, v = ground_state(h, mode="iterative")
+    assert [c["tol"] for c in calls] == [exact._ARPACK_TOL, 0]
+    assert np.array_equal(calls[1]["v0"], missed[0])
+    assert np.linalg.norm(apply_operator(h, v) - e * v) < 1e-9
+    assert abs(e - ground_state(h, mode="dense")[0]) < 1e-10
+
+
+def test_shifted_operator_meets_the_residual():
+    # ARPACK's stopping bound is tol * |E|: the tolerance alone leaves ~1e-9 at |E| ~ 1e4
+    h = random_real_operator(np.random.default_rng(1), 10, 32)
+    h = h + Operator(10, [(PauliWord(10, 0, 0), 1e4)])
+    e, v = ground_state(h, mode="iterative")
+    assert np.linalg.norm(apply_operator(h, v) - e * v) < 1e-9
+    assert abs(e - ground_state(h, mode="dense")[0]) < 1e-9
+
+
 def test_ground_state_rejects_a_bad_eigenpair(rng, monkeypatch):
     h = random_real_operator(rng, 4, 12)
     arpack = exact.eigsh
@@ -294,6 +332,14 @@ def test_ground_state_stall_is_arithmetic_error(rng, monkeypatch):
     monkeypatch.setattr(exact, "eigsh", stalled)
     with pytest.raises(ArithmeticError, match="converge"):
         ground_state(random_real_operator(rng, 4, 12), mode="iterative")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the matrix overflows on purpose
+@pytest.mark.parametrize("mode, match", [("dense", "non-finite"), ("iterative", "ARPACK failed")])
+def test_overflowing_operator_is_arithmetic_error(mode, match):
+    h = Operator.from_labels({"ZI": 1e308, "IZ": 1e308, "XX": 1.0})
+    with pytest.raises(ArithmeticError, match=match):
+        ground_state(h, mode=mode)
 
 
 def test_ground_state_budget_refusal():

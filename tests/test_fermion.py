@@ -184,6 +184,18 @@ def test_mapped_operators_match_two_merge_reference(monkeypatch, n_spatial):
         _assert_same_operator(op, build())
 
 
+@pytest.mark.parametrize("n_spatial", [5, 10])
+def test_mapped_operators_do_not_depend_on_the_row_chunk(monkeypatch, n_spatial):
+    # 2**30 rows expand every two-body row at once; 97 cuts five orbitals' 2,500 rows as well
+    data = random_integrals(np.random.default_rng(n_spatial), n_spatial)
+    maps = (jordan_wigner, parity_map)
+    chunked = [mapping(data) for mapping in maps]
+    for rows in (1 << 30, 97):
+        monkeypatch.setattr(fermion_module, "_LADDER_ROWS", rows)
+        for op, mapping in zip(chunked, maps):
+            _assert_same_operator(op, mapping(data))
+
+
 @pytest.mark.parametrize("n_so", range(2, 13))
 def test_excitation_words_match_unique_reference(n_so):
     for a, b in zip(excitation_words(n_so), unique_excitation_words(n_so)):
