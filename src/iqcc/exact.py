@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
@@ -196,10 +197,10 @@ def dense_matrix(h: Operator) -> np.ndarray:
 def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
     """Lowest eigenvalue and a normalized eigenvector of h.
 
-    mode "dense" diagonalizes the full matrix (n <= 10); "iterative" runs
-    ARPACK's implicitly restarted Lanczos (`eigsh`) over `make_matvec`
-    (n <= 16) from a fixed start vector to the relative tolerance
-    _ARPACK_TOL and checks the residual ||hv - ev|| < 1e-9 (see
+    mode "dense" solves the full matrix for its lowest pair only (n <= 10);
+    "iterative" runs ARPACK's implicitly restarted Lanczos (`eigsh`) over
+    `make_matvec` (n <= 16) from a fixed start vector to the relative
+    tolerance _ARPACK_TOL and checks the residual ||hv - ev|| < 1e-9 (see
     `_arpack_lowest`); "auto" picks whichever budget admits.  Both work in
     float64 for real h.  Raises BudgetError beyond both budgets and
     ArithmeticError when a solve fails, stalls, misses the residual or
@@ -220,9 +221,10 @@ def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
         raise ValueError(f"unknown mode {mode!r}")
     if n > DENSE_QUBIT_LIMIT:
         raise BudgetError(f"dense mode limited to {DENSE_QUBIT_LIMIT} qubits, got {n}")
-    evals, evecs = np.linalg.eigh(dense_matrix(h))
-    if not np.isfinite(evals[0]):
-        raise ArithmeticError(f"dense eigensolver returned the non-finite eigenvalue {evals[0]}")
+    # only the lowest pair; LAPACK finds none at all when an entry is infinite
+    evals, evecs = eigh(dense_matrix(h), subset_by_index=[0, 0], check_finite=False)
+    if evals.size != 1 or not np.isfinite(evals[0]):
+        raise ArithmeticError(f"dense eigensolver found no finite lowest eigenvalue (got {evals}): non-finite h")
     return float(evals[0]), evecs[:, 0]
 
 

@@ -6,14 +6,15 @@ qubit.  Single-qubit expectations are <x> = sin(theta)cos(phi),
 <y> = sin(theta)sin(phi), <z> = cos(theta); a word's expectation is the
 product over its support.  All gradients here are analytic.
 
-The kernels gather each qubit's factor by its letter code from the state's
-`factor_table` (built once per state) through the operator's qubit-major
-`[qubits x terms]` code array (built once per word set), so a term's
-product is n - 1 whole-vector multiplies in qubit order, with the bits of a
-row-wise product.  They work through the terms in blocks, so that their
-temporaries stay in cache, and each gradient is one running sum over all
-terms in order, with the bits of `np.einsum` over `[terms x qubits]`
-operands.
+The kernels split the qubits into blocks of _K = 4.  A term's letters on one
+block form one of 256 patterns, found once per word set (`_block_index`, in
+the operator's memo), and each state tabulates, once, every block's product
+of Bloch factors on every pattern together with the same product with one
+factor replaced by its theta or phi derivative (`BlochState.block_tables`).
+The energy is one gather per block, the product over the blocks and a dot
+with the coefficients; the gradient weights each pattern by the coefficients
+times the product of the other blocks and contracts those weights with the
+derivative tables.
 """
 
 from __future__ import annotations
@@ -31,8 +32,19 @@ from .pauli import DimensionError, Operator, frozen
 logger = logging.getLogger(__name__)
 
 GRAD_TOL = 1e-8  # quasi-Newton exit criterion (gradient infinity norm)
-_TINY = np.finfo(np.float64).tiny  # smallest normal float64
-_BLOCK = 4096  # terms per block of the energy kernels
+_K = 4  # qubits per block of the pattern tables
+_PATTERNS = 4**_K  # letter patterns of one block
+# bit q of a block's x or z mask moved to bit 2q: its share of the pattern
+_SPREAD = np.array([sum((v >> q & 1) << 2 * q for q in range(_K)) for v in range(1 << _K)], dtype=np.intp)
+# Each slot's value row in each table, by letter code (I, x, z, y), among the
+# rows 1, 0, <x>, <z>, <y>, their d/dtheta and d<x>/dphi (d<y>/dphi is <x>):
+# table 0 takes the factors f throughout, table 1 + q slot q's d/dtheta and
+# table 1 + _K + q its d/dphi.
+_F, _DTHETA, _DPHI = [0, 2, 3, 4], [1, 5, 6, 7], [1, 8, 1, 2]
+_SLOT_ROWS = np.array(
+    [[_F] * _K] + [[d if r == q else _F for r in range(_K)] for d in (_DTHETA, _DPHI) for q in range(_K)],
+    dtype=np.intp,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +68,26 @@ class BlochState:
         return self.theta.size
 
     @cached_property
-    def factor_table(self) -> np.ndarray:
-        """Rows f, df/dtheta and df/dphi of the single-qubit expectation f, read-only
-        and built on first use; column 4j + c holds qubit j's value for letter code
-        c (I, x, z, y)."""
+    def block_tables(self) -> np.ndarray:
+        """[1 + 2 * _K, blocks * 256] values of each block of _K qubits (qubits
+        _K * b to _K * b + _K - 1, identity past the last) on each of its letter
+        patterns, read-only and built on first use.  Column 256b + p holds
+        block b's pattern p (see `_block_index`); row 0 is the product of the
+        block's Bloch factors, row 1 + q the same with slot q's factor replaced
+        by its d/dtheta, and row 1 + _K + q by its d/dphi.  Each is a batched
+        outer product over the slots, in qubit order."""
+        n = self.n_qubits
+        blocks = -(-n // _K)
         st, ct = np.sin(self.theta), np.cos(self.theta)
         sp, cp = np.sin(self.phi), np.cos(self.phi)
-        one, zero = np.ones_like(st), np.zeros_like(st)
-        rows = [[one, st * cp, ct, st * sp], [zero, ct * cp, -st, ct * sp], [zero, -st * sp, zero, st * cp]]
-        return frozen(np.array(rows).transpose(0, 2, 1).reshape(3, -1))[0]
+        rows = np.zeros((9, _K * blocks))  # the value rows of _SLOT_ROWS, by qubit
+        rows[0] = 1.0
+        rows[2:, :n] = [st * cp, ct, st * sp, ct * cp, -st, ct * sp, -st * sp]
+        slots = rows[_SLOT_ROWS[:, None], np.arange(_K * blocks).reshape(blocks, _K, 1)]
+        tables = slots[:, :, 0]
+        for q in range(1, _K):  # slot q is digit q of the pattern
+            tables = (tables[:, :, None, :] * slots[:, :, q, :, None]).reshape(len(_SLOT_ROWS), blocks, -1)
+        return frozen(tables.reshape(len(_SLOT_ROWS), -1))[0]
 
     def normalized(self) -> "BlochState":
         """Copy with theta in [0, pi] and phi in [0, 2*pi).
@@ -109,48 +132,29 @@ def _check_state(s: BlochState, n_qubits: int) -> None:
         raise DimensionError(f"state on {s.n_qubits} qubits, operator on {n_qubits}")
 
 
-def _letter_codes(h: Operator) -> np.ndarray:
-    """[qubits x terms] column 4j + x + 2z of term t's letter on qubit j in
-    `BlochState.factor_table` (letter code 0 = I, 1 = x, 2 = z, 3 = y),
-    C-contiguous and read-only; the energies read it from h's memo, so each
-    word set builds it once."""
-    n = h.n_qubits
-
-    def bits(masks: np.ndarray) -> np.ndarray:
-        octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        return np.unpackbits(octets.T.copy(), axis=0, count=n, bitorder="little")
-
-    return frozen(bits(h.x_masks) + 2 * bits(h.z_masks) + 4 * np.arange(n, dtype=np.intp)[:, None])[0]
-
-
-def _products(f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Product over the rows of f, taken in row (qubit) order, into out."""
-    out[...] = f[0]
-    for row in f[1:]:
-        out *= row
-    return out
+def _block_index(h: Operator) -> np.ndarray:
+    """[blocks x terms] column 256b + p of term t's letter pattern p on block b
+    in `BlochState.block_tables`, where p = sum of 4**q * (x + 2z) over the
+    block's slots q (letter code 0 = I, 1 = x, 2 = z, 3 = y) and slots past the
+    last qubit are identity; read-only, and the energies read it from h's memo,
+    so each word set builds it once."""
+    blocks = -(-h.n_qubits // _K)
+    shifts = _K * np.arange(blocks, dtype=np.uint64)[:, None]
+    nibble = np.uint64((1 << _K) - 1)
+    x = ((h.x_masks >> shifts) & nibble).astype(np.intp)
+    z = ((h.z_masks >> shifts) & nibble).astype(np.intp)
+    return frozen(_SPREAD[x] + 2 * _SPREAD[z] + _PATTERNS * np.arange(blocks)[:, None])[0]
 
 
-def _partials(f: np.ndarray, prod: np.ndarray) -> np.ndarray:
-    """Product over each term's other factors, with exact zeros: a term with
-    two or more zero factors gets zero partials, one with a single zero factor
-    the product of the rest on that qubit.  Subnormal factors count as zero:
-    their product keeps too few bits to divide by."""
-    zero = np.abs(f) < _TINY
-    denom = np.where(zero, 1.0, f)
-    partial = prod / denom
-    one_zero = zero.sum(axis=0) == 1
-    if one_zero.any():
-        rest = _products(denom[:, one_zero], np.empty(np.count_nonzero(one_zero)))
-        partial[:, one_zero] = np.where(zero[:, one_zero], rest, 0.0)
-    return partial
-
-
-def _blocks(h: Operator):
-    """(terms, their letter codes) for consecutive blocks of at most _BLOCK terms."""
-    codes = h._memoized(_letter_codes)
-    for start in range(0, len(h), _BLOCK):
-        yield slice(start, start + _BLOCK), codes[:, start : start + _BLOCK]
+def _block_values(s: BlochState, h: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h's block index, each term's value on each block ([blocks x terms]) and
+    its product over the blocks, taken in block order."""
+    index = h._memoized(_block_index)
+    values = s.block_tables[0][index]
+    prod = values[0]
+    for row in values[1:]:
+        prod = prod * row
+    return index, values, prod
 
 
 def energy(s: BlochState, h: Operator) -> float:
@@ -158,47 +162,39 @@ def energy(s: BlochState, h: Operator) -> float:
     _check_state(s, h.n_qubits)
     if h.is_empty:
         return 0.0
-    f_table, prod = s.factor_table[0], np.empty(len(h))
-    for terms, codes in _blocks(h):
-        _products(f_table[codes], prod[terms])
-    return float(h.coefficients @ prod)
+    return float(h.coefficients @ _block_values(s, h)[2])
 
 
 def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, np.ndarray]:
     """Energy plus analytic d/dtheta and d/dphi arrays.
 
-    Works through the terms in blocks of at most _BLOCK, so that the
-    temporaries stay in cache.  One gather of a block's letter codes gives
-    its factors f, another both derivative rows.  The product over a term's
-    other factors is prod / f when no factor is below the smallest normal
-    float (every factor is at most 1 in size, so a product at or above it
-    rules such a factor out); otherwise `_partials` treats those factors as
-    zero.  Each gradient is the running sum over all terms, in order, of
-    coefficient * partial * derivative, as `np.einsum` sums a column of a
-    `[terms x 2 qubits]` array: each block's products are copied into the
-    rows of one such array below a first row that carries the sums so far.
+    A term's derivative along one of block b's qubits is its coefficient times
+    the product of the other blocks' values times that qubit's derivative row
+    of block b's table.  The products of the other blocks are running products
+    from both ends, with no division, so zero and subnormal factors need no
+    special case.  Summed per pattern (`np.bincount`), they meet each
+    derivative row once.
     """
     _check_state(s, h.n_qubits)
     n = h.n_qubits
     if h.is_empty:
         return 0.0, np.zeros(n), np.zeros(n)
-    f_table, d_tables = s.factor_table[0], s.factor_table[1:]
+    index, values, prod = _block_values(s, h)
     cs = h.coefficients
-    prod = np.empty(len(h))
-    # with 2n >= 2 columns einsum's inner loop runs along a row, so each
-    # column is summed as one running sum down the rows
-    rows = np.zeros((min(len(h), _BLOCK) + 1, 2 * n))
-    for terms, codes in _blocks(h):
-        f = f_table[codes]
-        p = _products(f, prod[terms])
-        partial = p / f if np.abs(p).min() >= _TINY else _partials(f, p)
-        partial *= cs[terms]
-        grads = np.take(d_tables, codes, axis=1)
-        grads *= partial
-        m = len(p)
-        rows[1 : m + 1] = grads.reshape(2 * n, m).T
-        rows[0] = np.einsum("tk->k", rows[: m + 1])
-    return float(cs @ prod), rows[0, :n].copy(), rows[0, n:].copy()
+    blocks = len(values)
+    rest = np.empty_like(values)  # coefficient times the product of the other blocks
+    rest[0] = cs
+    for b in range(1, blocks):
+        np.multiply(rest[b - 1], values[b - 1], out=rest[b])
+    after = values[-1]  # product of the blocks after b
+    for b in range(blocks - 2, -1, -1):
+        rest[b] *= after
+        if b:
+            after = after * values[b]
+    weights = np.bincount(index.ravel(), weights=rest.ravel(), minlength=blocks * _PATTERNS)
+    rows = s.block_tables[1:].reshape(2, _K, blocks, _PATTERNS)
+    grads = np.einsum("dqbp,bp->dbq", rows, weights.reshape(blocks, _PATTERNS)).reshape(2, -1)[:, :n]
+    return float(cs @ prod), grads[0], grads[1]
 
 
 def _minimize_local(h: Operator, theta0: np.ndarray, phi0: np.ndarray) -> tuple[BlochState, float]:

@@ -56,18 +56,10 @@ def dense_op(h: Operator) -> np.ndarray:
 
 
 def product_state_vector(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Statevector of the coherent product state, amplitude by amplitude."""
-    n = len(theta)
-    vec = np.empty(2**n, dtype=complex)
-    for b in range(2**n):
-        amp = 1.0 + 0.0j
-        for j in range(n):
-            if (b >> j) & 1:
-                amp *= np.exp(1j * phi[j]) * np.sin(theta[j] / 2)
-            else:
-                amp *= np.cos(theta[j] / 2)
-        vec[b] = amp
-    return vec
+    """Statevector of the coherent product state: the Kronecker product of the
+    qubits' cos(theta/2)|0> + exp(i phi) sin(theta/2)|1>, qubit 0 least significant."""
+    qubits = [np.array([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)]) for t, p in zip(theta, phi)]
+    return reduce(np.kron, reversed(qubits), np.ones(1, dtype=complex))
 
 
 def basis_state_vector(bits: tuple[int, ...]) -> np.ndarray:
@@ -302,18 +294,38 @@ def rowwise_factor_table(s: BlochState) -> np.ndarray:
     return np.array(rows).transpose(0, 2, 1).reshape(3, -1)
 
 
+def loop_block_tables(s: BlochState) -> np.ndarray:
+    """`BlochState.block_tables` one entry at a time: each table entry is the
+    product over a block's four slots, in qubit order, of the slot's factor or,
+    in table 1 + q (1 + 4 + q), of slot q's d/dtheta (d/dphi); slots past the
+    last qubit are identity."""
+    n = s.n_qubits
+    blocks = -(-n // 4)
+    rows = rowwise_factor_table(s).tolist()
+    out = np.empty((9, 256 * blocks))
+    for b in range(blocks):
+        for p in range(256):
+            for k in range(9):
+                value = 1.0
+                for q in range(4):
+                    j, c = 4 * b + q, (p >> 2 * q) & 3
+                    row = 0 if k == 0 or (k - 1) % 4 != q else 1 + (k - 1) // 4
+                    value *= rows[row][4 * j + c] if j < n else float(row == 0 and c == 0)
+                out[k, 256 * b + p] = value
+    return out
+
+
 def rowwise_energy(s: BlochState, h: Operator) -> float:
     """Product-state energy from a [terms x qubits] factor array, each term's
-    product a row `prod`: the bits the qubit-major kernel must reproduce."""
+    product a row `prod`."""
     if h.is_empty:
         return 0.0
     return float(h.coefficients @ rowwise_factor_table(s)[0][shift_letter_codes(h)].prod(axis=1))
 
 
 def rowwise_energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, np.ndarray]:
-    """Energy and analytic gradients over [terms x qubits] arrays, summed by
-    `np.einsum` over those row-major operands: the bits the qubit-major
-    kernel must reproduce."""
+    """Energy and analytic gradients over [terms x qubits] arrays, each term's
+    partials its product over one factor, summed by `np.einsum`."""
     n = h.n_qubits
     if h.is_empty:
         return 0.0, np.zeros(n), np.zeros(n)

@@ -279,7 +279,11 @@ def test_iterative_energy_matches_dense_to_1e_10(n):
     rng = np.random.default_rng(n)
     for odd_y in (False, True):
         h = _operator(rng, n, odd_y)
-        assert abs(ground_state(h, mode="iterative")[0] - ground_state(h, mode="dense")[0]) < 1e-10
+        e, v = ground_state(h, mode="dense")
+        assert abs(ground_state(h, mode="iterative")[0] - e) < 1e-10
+        # the dense solve's one pair is a unit eigenvector with its energy
+        assert v.shape == (1 << n,) and abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert np.linalg.norm(apply_operator(h, v) - e * v) < 1e-9
 
 
 def test_a_missed_residual_resumes_once_at_machine_precision(monkeypatch):

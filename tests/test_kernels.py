@@ -28,7 +28,7 @@ from iqcc.pauli import (
     rotate,
     word_products,
 )
-from iqcc.product_state import _letter_codes
+from iqcc.product_state import _block_index
 
 from conftest import commutator_terms, concat_rotate, lexsort_canonical_arrays, unique_flip_runs
 
@@ -220,12 +220,12 @@ def test_rotation_memo_lives_with_its_operators():
     # a later call with the same dust pattern reuses the words and their memo
     again = rotate(rotate(h, p, 0.8, 0.6), q, 0.8, 0.6)
     assert again.x_masks is out.x_masks and again._memo is out._memo
-    codes = out._memoized(_letter_codes)
-    assert codes is again._memoized(_letter_codes)
-    assert not any(a.flags.writeable for a in (out.x_masks, out.z_masks, out.coefficients, codes))
-    refs = [weakref.ref(a) for a in (out.x_masks, out.z_masks, codes)]
+    index = out._memoized(_block_index)
+    assert index is again._memoized(_block_index)
+    assert not any(a.flags.writeable for a in (out.x_masks, out.z_masks, out.coefficients, index))
+    refs = [weakref.ref(a) for a in (out.x_masks, out.z_masks, index)]
     # h's memo keeps the plans made from it and, through them, out's words
-    del out, again, codes
+    del out, again, index
     gc.collect()
     assert all(r() is not None for r in refs)
     del h
@@ -249,14 +249,14 @@ def test_other_word_sets_start_with_an_empty_memo():
     h = Operator.from_labels({"XZ": 1.0, "ZZ": 0.5, "IZ": 1e-9, "XX": 0.25})
     p = PauliWord.from_label("ZY")
     rotate(h, p, 0.6, 0.8)
-    h._memoized(_letter_codes)
+    h._memoized(_block_index)
     # a sum, a scaling and a compression that drop terms, and a rebuilt copy
     others = [h + Operator.from_labels({"YY": 1.0}), h * 1e-4, compress(h, 0.1)[0], Operator(2, h)]
     assert [len(o) for o in others] == [5, 3, 3, 4]
     for other in others:
         assert other._memo == {}
         _assert_same_operator(rotate(other, p, 0.6, 0.8), concat_rotate(other, p, 0.6, 0.8))
-        assert np.array_equal(other._memoized(_letter_codes), _letter_codes(other))
+        assert np.array_equal(other._memoized(_block_index), _block_index(other))
     # negation keeps the very same words, and their memo
     assert (-h)._memo is h._memo
     _assert_same_operator(rotate(-h, p, 0.6, 0.8), concat_rotate(-h, p, 0.6, 0.8))
