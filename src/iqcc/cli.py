@@ -121,23 +121,25 @@ def _parse_assignment(text: str) -> QubitAssignment:
 
 
 def cmd_map(args) -> int:
+    assignment = _parse_assignment(args.assign) if args.assign else None
+    if assignment is not None and not args.reduce:
+        raise ValueError("--assign picks the sector of a reduction and cannot be used with --no-reduce")
     with open(args.integrals) as fh:
         data = parse_integrals(fh)
     mapper = jordan_wigner if args.mapping == "jw" else parity_map
     h = mapper(data)
     print(f"mapped: qubits={h.n_qubits} terms={len(h)}")
 
-    assignment = None
     if args.reduce:
         stationary = sorted(find_stationary_qubits(h))
+        if assignment is not None and not 0 < len(stationary) < h.n_qubits:
+            raise ValueError(f"--assign cannot be applied: {len(stationary)} of {h.n_qubits} qubits are stationary")
         if not stationary:
             print("reduction: no stationary qubits found")
         elif len(stationary) == h.n_qubits:
             print("reduction: operator is fully diagonal, skipping")
         else:
-            if args.assign:
-                assignment = _parse_assignment(args.assign)
-            else:
+            if assignment is None:
                 assignment = choose_sector(h, oracle_budget=args.budget)
             h = reduce_qubits(h, assignment)
             eigs = [assignment.eigenvalues[p] for p in assignment.positions]
@@ -176,6 +178,9 @@ def cmd_run(args) -> int:
             print("error: --mu requires --s2 <operator file>", file=sys.stderr)
             return 1
         penalty = _load_operator(args.s2)
+    elif args.s2:
+        print("error: --s2 requires a positive --mu (flag or manifest)", file=sys.stderr)
+        return 1
 
     e_exact = None
     if h.n_qubits <= exact.ITERATIVE_QUBIT_LIMIT:
@@ -277,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping", choices=("jw", "parity"), default="jw")
     p.add_argument("--reduce", action=argparse.BooleanOptionalAction, default=True,
                    help="remove stationary qubits (--no-reduce keeps all)")
-    p.add_argument("--assign", help="manual sector, e.g. '1=-1,3=1'")
+    p.add_argument("--assign", help="manual sector of the reduction, e.g. '1=-1,3=1'")
     p.add_argument("--budget", type=int, default=12, help="oracle qubit budget for sector search")
     p.add_argument("--emit-s2", help="also write the (reduced) total-spin operator here")
     p.add_argument("-o", "--output", help="operator file name")
@@ -293,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--energy-threshold", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None, help="compression accuracy (hartree)")
     p.add_argument("--mu", type=float, default=None, help="spin penalty strength (hartree)")
-    p.add_argument("--s2", help="total-spin operator file (required with --mu)")
+    p.add_argument("--s2", help="total-spin operator file (required with --mu, and only read with it)")
     p.add_argument("--guesses", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--drop-first", type=int, default=None, help="iterations dropped before extrapolation")

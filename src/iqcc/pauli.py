@@ -386,14 +386,27 @@ def flip_runs(h: Operator) -> tuple[np.ndarray, np.ndarray]:
     return xs[starts], np.append(starts, len(xs))
 
 
-def _rotation_terms(
-    h: Operator, p: PauliWord, commuting: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The unmerged terms of a rotation of h by p, or None when no term of h
-    anticommutes with p: the terms commuting with p (if kept), those
-    anticommuting, and the word +-(w*p) each of the latter spawns.  Returns
-    their masks, their source terms in h and the index of their factor in
-    (1, a, b, -b)."""
+@dataclass(slots=True, eq=False)
+class _RotationPlan:
+    """What a rotation of one word set by one word keeps for its next call:
+    each unmerged term's source term, factor index and merged word, all intp
+    so that a call gathers and sums without converting them, the merged
+    words' x and z masks, and `last`: the last call's dust pattern, its kept
+    words and the memo of the operators holding them."""
+
+    src: np.ndarray
+    factor: np.ndarray
+    word: np.ndarray
+    xs: np.ndarray
+    zs: np.ndarray
+    last: tuple[np.ndarray, np.ndarray, np.ndarray, dict] | None = None
+
+
+def _rotation_plan(h: Operator, p: PauliWord, commuting: bool) -> _RotationPlan | None:
+    """The plan of a rotation of h by p, or None when no term of h
+    anticommutes with p.  Its unmerged terms are the terms commuting with p
+    (if kept), those anticommuting, and the word +-(w*p) each of the latter
+    spawns, with factors (1, a, b, -b)[factor]; they merge by `_merge_plan`."""
     anti = anticommuting(h, p)
     if not anti.any():
         return None
@@ -403,28 +416,9 @@ def _rotation_terms(
     xn, zn, k = word_products(xa, za, np.uint64(p.x_mask), np.uint64(p.z_mask))
     # k is odd for anticommuting pairs, so -(i/2)[c*w, p] = -i * i**k * c * (w*p) is +-c * (w*p)
     factor = np.concatenate([np.zeros(len(ir)), np.ones(len(ia)), np.where(k == 1, 2, 3)])
-    return (
-        np.concatenate([h.x_masks[ir], xa, xn]),
-        np.concatenate([h.z_masks[ir], za, zn]),
-        np.concatenate([ir, ia, ia]),
-        factor.astype(np.intp),
-    )
-
-
-@dataclass(slots=True, eq=False)
-class _RotationPlan:
-    """What a rotation of one word set by one word keeps for its next call:
-    each unmerged term's source term, factor index and merged word
-    (`_rotation_terms`, `_merge_plan`), the first term of each merged word,
-    all intp so that a warm call gathers and sums without converting them,
-    and `last`: the last call's dust pattern, its kept words and the memo of
-    the operators holding them."""
-
-    src: np.ndarray
-    factor: np.ndarray
-    word: np.ndarray
-    first: np.ndarray
-    last: tuple[np.ndarray, np.ndarray, np.ndarray, dict] | None = None
+    xs, zs = np.concatenate([h.x_masks[ir], xa, xn]), np.concatenate([h.z_masks[ir], za, zn])
+    word, first = _merge_plan(xs, zs)
+    return _RotationPlan(*frozen(np.concatenate([ir, ia, ia]), factor.astype(np.intp), word, xs[first], zs[first]))
 
 
 def rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True) -> Operator:
@@ -436,32 +430,29 @@ def rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True
     one word +-c * (w*p).  Returns h itself (or, without `commuting`, the
     zero operator) when no term anticommutes with p.
 
-    The merge plan depends on h's words, p and `commuting` only, so it is
-    built once and kept in h's memo; a later call gathers the coefficients,
-    sums them by the plan and drops dust, with the canonical merge's
-    summation rule, so the result has the same bits as a fresh merge.
-    Results with the dust pattern of the previous call share its word
-    arrays and their memo.  An operator's memo lives as long as the
-    operators sharing it, and it keeps the plans made from it and, through
-    them, the memos of their results.
+    The plan (`_rotation_plan`: each unmerged term's source, factor and
+    merged word, and the merged words) depends on h's words, p and
+    `commuting` only, so it is built once and kept in h's memo, and no call
+    derives the terms again.  Every call gathers the coefficients, sums them
+    by the plan and drops dust, with the canonical merge's summation rule,
+    so the result has the same bits as a fresh merge.  Results with the
+    dust pattern of the previous call share its word arrays and their memo.
+    An operator's memo lives as long as the operators sharing it, and it
+    keeps the plans made from it and, through them, the memos of their
+    results.
     """
     if h.n_qubits != p.n_qubits:
         raise DimensionError("operator/word qubit mismatch")
     key = (p.x_mask, p.z_mask, commuting)
-    terms = None
     if key not in h._memo:
-        terms = _rotation_terms(h, p, commuting)
-        h._memo[key] = None if terms is None else _RotationPlan(*frozen(*terms[2:], *_merge_plan(*terms[:2])))
+        h._memo[key] = _rotation_plan(h, p, commuting)
     plan = h._memo[key]
     if plan is None:
         return h if commuting else Operator.zero(h.n_qubits)
     sums, keep = _merge(plan.word, h.coefficients[plan.src] * np.array([1.0, a, b, -b])[plan.factor])
-    last = plan.last
-    if last is None or not np.array_equal(keep, last[0]):
-        xs, zs = (_rotation_terms(h, p, commuting) if terms is None else terms)[:2]
-        rows = plan.first[keep]
-        last = plan.last = (*frozen(keep, xs[rows], zs[rows]), {})
-    _, xs, zs, memo = last
+    if plan.last is None or not np.array_equal(keep, plan.last[0]):
+        plan.last = (*frozen(keep, plan.xs[keep], plan.zs[keep]), {})
+    _, xs, zs, memo = plan.last
     return Operator._from_canonical(h.n_qubits, xs, zs, sums[keep], memo)
 
 

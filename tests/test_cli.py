@@ -63,6 +63,39 @@ def test_map_rejects_bad_assignment(tmp_path, capsys, assign, item):
     assert not list(tmp_path.iterdir())
 
 
+def test_map_assignment_is_parsed_even_without_reduction(tmp_path, capsys):
+    rc = main(["--outdir", str(tmp_path), "map", str(FIXTURE), "--no-reduce", "--assign", "garbage"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --assign item 'garbage'")
+    assert not list(tmp_path.iterdir())
+
+
+def test_map_rejects_assignment_with_no_reduce(tmp_path, capsys):
+    rc = main(["--outdir", str(tmp_path), "map", str(FIXTURE), "--no-reduce", "--assign", "1=1"])
+    assert rc == 1
+    assert "--no-reduce" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_map_rejects_assignment_without_stationary_qubits(tmp_path, capsys):
+    rc = main(["--outdir", str(tmp_path), "map", str(FIXTURE), "--mapping", "jw", "--assign", "0=1"])
+    assert rc == 1
+    assert "error: --assign cannot be applied: 0 of 4 qubits are stationary" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_map_rejects_assignment_on_a_diagonal_operator(tmp_path, capsys):
+    # one spatial orbital: every mapped term is a z word
+    path = tmp_path / "diag.fcidump"
+    path.write_text(" &FCI NORB=1,NELEC=2,MS2=0,\n &END\n0.7 1 1 1 1\n-1.2 1 1 0 0\n0.3 0 0 0 0\n")
+    assert main(["--outdir", str(tmp_path), "map", str(path)]) == 0
+    assert "reduction: operator is fully diagonal, skipping" in capsys.readouterr().out
+    rc = main(["--outdir", str(tmp_path), "map", str(path), "--assign", "0=1", "-o", "assigned.op"])
+    assert rc == 1
+    assert "error: --assign cannot be applied: 2 of 2 qubits are stationary" in capsys.readouterr().err
+    assert not (tmp_path / "assigned.op").exists()
+
+
 def test_map_accepts_signed_assignment(tmp_path, capsys):
     rc = main(["--outdir", str(tmp_path), "map", str(FIXTURE), "--mapping", "parity", "--assign", "1=+1, 3=-1"])
     assert rc == 0
@@ -287,6 +320,21 @@ def test_run_mu_without_s2_fails(tmp_path, capsys):
     rc = main(["--outdir", str(tmp_path), "run", str(tmp_path / "h2.op"), "--mu", "0.25"])
     assert rc == 1
     assert "--s2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", [None, {"mu": 0.0}])
+def test_run_s2_without_mu_fails(tmp_path, capsys, manifest):
+    main(["--outdir", str(tmp_path), "map", str(FIXTURE), "-o", "h2.op"])
+    capsys.readouterr()
+    extra = []
+    if manifest is not None:
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        extra = ["--manifest", str(tmp_path / "m.json")]
+    rc = main(["--outdir", str(tmp_path), "run", str(tmp_path / "h2.op"), "--s2", str(tmp_path / "nonexistent.op"),
+               "--steps", "1", *extra])
+    assert rc == 1
+    assert "--s2 requires a positive --mu" in capsys.readouterr().err
+    assert not list(tmp_path.glob("h2.*.*"))
 
 
 def test_bad_operator_file_is_user_error(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqcc import pauli
 from iqcc.compression import compress
 from iqcc.fermion import _REALITY_TOL
 from iqcc.pauli import (
@@ -195,14 +196,34 @@ def test_memoized_rotate_matches_concatenating_reference(data):
             _assert_same_operator(got, want)
 
 
+# (a, b) pairs that move the dust pattern of a rotation of X + Y + Z/4 by Z
+DUST_STEPS = [(0.5, 0.25), (1e-13, 1e-13), (0.5, 0.25), (1.0, 1.0), (-0.0, 1.0), (0.5, 0.0), (0.5, 0.25)]
+
+
 def test_memoized_rotate_follows_the_dust_pattern():
     # X and Y anticommute with Z and spawn -c Y and +c X: the X coefficient is
     # a + b and the Y one a - b, so a = b cancels Y, and tiny a and b leave dust
     h = Operator.from_labels({"X": 1.0, "Y": 1.0, "Z": 0.25})
     z = PauliWord.from_label("Z")
-    for a, b in [(0.5, 0.25), (1e-13, 1e-13), (0.5, 0.25), (1.0, 1.0), (-0.0, 1.0), (0.5, 0.0), (0.5, 0.25)]:
+    for a, b in DUST_STEPS:
         for commuting in (True, False):
             _assert_same_operator(rotate(h, z, a, b, commuting), concat_rotate(h, z, a, b, commuting))
+
+
+def test_warm_rotations_derive_no_words(monkeypatch):
+    # the operator and sequence of test_memoized_rotate_follows_the_dust_pattern
+    h = Operator.from_labels({"X": 1.0, "Y": 1.0, "Z": 0.25})
+    z = PauliWord.from_label("Z")
+    for commuting in (True, False):
+        rotate(h, z, 0.5, 0.25, commuting)
+    calls = []
+    for name in ("anticommuting", "word_products", "_merge_plan"):
+        f = getattr(pauli, name)
+        monkeypatch.setattr(pauli, name, lambda *args, name=name, f=f: calls.append(name) or f(*args))
+    for a, b in DUST_STEPS:
+        for commuting in (True, False):
+            rotate(h, z, a, b, commuting)
+    assert calls == []
 
 
 def test_rotate_checks_qubit_counts_with_a_warm_memo():
@@ -239,8 +260,10 @@ def test_rotation_plans_keep_read_only_intp_indices():
     for commuting in (True, False):
         rotate(h, p, 0.6, 0.8, commuting)
         plan = h._memo[(p.x_mask, p.z_mask, commuting)]
-        for a in (plan.src, plan.factor, plan.word, plan.first):
+        for a in (plan.src, plan.factor, plan.word):
             assert a.dtype == np.intp and not a.flags.writeable
+        for a in (plan.xs, plan.zs):
+            assert a.dtype == np.uint64 and not a.flags.writeable
         # a warm call gathers through them and still merges as a fresh one
         _assert_same_operator(rotate(h, p, 0.8, -0.6, commuting), concat_rotate(h, p, 0.8, -0.6, commuting))
 
