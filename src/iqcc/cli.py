@@ -258,6 +258,10 @@ def cmd_exact(args) -> int:
 def cmd_compress(args) -> int:
     h = _load_operator(args.operator)
     compressed, report = compress(h, args.epsilon)
+    if compressed.is_empty:  # a file no command reads back
+        raise ValueError(
+            f"epsilon {_fmt(report.epsilon)} would drop every term (dropped_norm={_fmt(report.dropped_norm)})"
+        )
     out = _outdir(args) / (args.output or f"{Path(args.operator).stem}.compressed.op")
     with open(out, "w") as fh:
         write_operator(compressed, fh)

@@ -4,7 +4,9 @@ State vectors are plain numpy arrays of length 2**n; bit j of the basis
 index is qubit j (|1> is the -1 eigenstate of z).  A Pauli word sends basis
 state i to i ^ x_mask with a sign and an i-phase, so h is a sparse matrix
 with one entry per row and flip run (terms of one x_mask).  It is real
-symmetric (float64) unless a term has an odd number of y letters (complex128).
+symmetric (float64) unless a term has an odd number of y letters (complex128,
+Hermitian), so the iterative solve stores its diagonal and, of each pair of
+entries <i|h|j> and <j|h|i>, only the one with j > i.
 
 The iterative solve stops at the accuracy its caller checks, not at machine
 precision: ARPACK stops once its residual estimate is below _ARPACK_TOL * |E|,
@@ -12,10 +14,11 @@ and the eigenvalue error is at most that residual squared over the spectral
 gap.  A pair that still misses the checked residual (large |E|) is resumed
 once from its own vector at machine precision.
 
-The matrix build and the matvec are shared out in chunks of whole row
-blocks between the calling thread and helper threads, one fewer than the
-CPUs in this process's affinity mask (`taskset` limits them).  Each output
-row is the same sum as on one thread, so every bit is unchanged.
+The matrix build and the matvec are shared out in a fixed number of row
+chunks between the calling thread and helper threads, one fewer than the
+CPUs in this process's affinity mask (`taskset` limits them).  The chunks
+do not depend on the CPU count and their partial sums are added in chunk
+order, so every bit is the same on any number of threads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import csr_array
+from scipy.sparse import _sparsetools, csr_array
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .pauli import DimensionError, Operator, PauliWord, flip_runs, parity_signs
@@ -35,12 +38,17 @@ from .pauli import DimensionError, Operator, PauliWord, flip_runs, parity_signs
 DENSE_QUBIT_LIMIT = 10
 ITERATIVE_QUBIT_LIMIT = 16
 
-# Above this many stored entries (rows x flip runs, 12 bytes each when real)
-# the matvec rebuilds the matrix row block by row block on every call.
+# Above this many stored entries, dim * (1 + off-diagonal flip runs / 2) (the
+# diagonal and the strict upper triangle, 12 bytes each when real), the matvec
+# rebuilds the matrix row block by row block on every call.
 _DIAG_CACHE_ENTRIES = 1 << 25
 
-# Stored entries per row block, which bounds the build's temporaries.
-_BLOCK_ENTRIES = 1 << 18
+# Entries per row block (rows x flip runs), which bounds the build's temporaries.
+_BLOCK_ENTRIES = 1 << 16
+
+# Row chunks of the matvec (one per row below that many rows), each with a
+# partial vector of its own; a constant, so that no sum depends on the CPU count.
+_CHUNKS = 8
 
 # Seed of the fixed start vector of the iterative solve.
 _V0_SEED = 7
@@ -122,7 +130,8 @@ def apply_word(vec: np.ndarray, w: PauliWord) -> np.ndarray:
 
 
 class _MatrixRows:
-    """Rows of the matrix of h as CSR blocks, built `block` rows at a time.
+    """Rows of the matrix of h, built `block` rows at a time: whole (`__call__`)
+    or as the diagonal and the strict upper triangle (`upper`).
 
     Row i holds, per flip run (`pauli.flip_runs`) in ascending x order, column
     i ^ x and value <i|h|i ^ x>: the run's c * (-i)**#y * (-1)**popcount(i & z)
@@ -136,11 +145,21 @@ class _MatrixRows:
         run_x, bounds = flip_runs(h)
         self.run_x = run_x.astype(np.int32)  # column offsets: int32 CSR indices
         self.dim, self.runs, terms = 1 << h.n_qubits, len(run_x), len(xs)
-        self.block = 1 << min(h.n_qubits, max(0, (_BLOCK_ENTRIES // max(self.runs, 1)).bit_length() - 1))
+        # a power of two rows, within one matvec chunk (see make_matvec)
+        self.span = max(1, self.dim // _CHUNKS)
+        self.block = min(self.span, 1 << max(0, (_BLOCK_ENTRIES // max(self.runs, 1)).bit_length() - 1))
         phase = np.array([1, -1j, -1, 1j])[np.bitwise_count(xs & self.zs) & 3]
         coef = h.coefficients * (phase if phase.imag.any() else phase.real)
         self.low = coef[:, None] * parity_signs(np.arange(self.block, dtype=np.uint64), self.zs[:, None])
         self.incidence = csr_array((np.ones(terms, self.low.dtype), np.arange(terms), bounds), (self.runs, terms))
+        # the diagonal is run 0 when there is one; column i ^ x > i when x's highest bit is clear in i
+        self.diagonal = int(self.runs > 0 and run_x[0] == 0)
+        self.top = np.array([1 << (x.bit_length() - 1) for x in run_x[self.diagonal :].tolist()], dtype=np.int32)
+        self.stored = self.dim + self.dim // 2 * len(self.top)  # the diagonal and the strict upper triangle
+
+    def _values(self, s: int) -> np.ndarray:
+        """[block x runs] values of rows s..s+block-1, a transposed view."""
+        return (self.incidence @ (parity_signs(np.uint64(s), self.zs[:, None]) * self.low)).T
 
     def __call__(self, start: int, stop: int) -> csr_array:
         """Rows start..stop-1 (multiples of the block) as a CSR matrix; its
@@ -148,30 +167,83 @@ class _MatrixRows:
         shape = ((stop - start) // self.block, self.block, self.runs)
         data, cols = np.empty(shape, dtype=self.low.dtype), np.empty(shape, dtype=np.int32)
         for k, s in enumerate(range(start, stop, self.block)):
-            data[k] = (self.incidence @ (parity_signs(np.uint64(s), self.zs[:, None]) * self.low)).T
+            data[k] = self._values(s)
             np.bitwise_xor(np.arange(s, s + self.block, dtype=np.int32)[:, None], self.run_x, out=cols[k])
         indptr = np.arange(stop - start + 1, dtype=np.int32) * self.runs
         return csr_array((data.ravel(), cols.ravel(), indptr), shape=(stop - start, self.dim))
+
+    def upper(self, start: int, span: int) -> tuple:
+        """Rows start..start+span-1 (span a power of two, at least the block,
+        dividing start) as (start, diagonal, CSR arrays of the strict upper
+        triangle: indptr, cols, data), each written once into arrays sized from
+        the exact count; within a row the entries keep ascending x order."""
+        # a top bit below the span is clear in half the rows, one above it in all or none
+        total = int(np.where(self.top < span, span // 2, span * ((start & self.top) == 0)).sum())
+        diag = np.zeros(span)
+        indptr = np.zeros(span + 1, dtype=np.int32)
+        cols, data = np.empty(total, dtype=np.int32), np.empty(total, dtype=self.low.dtype)
+        end = 0
+        for k in range(0, span, self.block):
+            vals = self._values(start + k)
+            if self.diagonal:
+                diag[k : k + self.block] = vals[:, 0].real
+            i = np.arange(start + k, start + k + self.block, dtype=np.int32)[:, None]
+            keep = (i & self.top) == 0
+            indptr[k + 1 : k + self.block + 1] = end + np.cumsum(keep.sum(axis=1))
+            k_end = int(indptr[k + self.block])
+            data[end:k_end] = vals[:, self.diagonal :][keep]
+            cols[end:k_end] = (i ^ self.run_x[self.diagonal :])[keep]
+            end = k_end
+        return start, diag, indptr, cols, data
 
 
 def make_matvec(h: Operator):
     """Closure computing h @ v; reused across Krylov iterations.
 
-    Up to _DIAG_CACHE_ENTRIES entries the CSR matrix of h is built once and
-    kept as one chunk of whole row blocks per CPU; above that every call
-    rebuilds it one row block at a time.  Either way `_shared` hands the
-    chunks' builds and products out to the calling thread and helper
-    threads.  Each output row is the same sum at every thread count, so the
-    bits are those of one CSR matrix; real for real h and v.
+    h is Hermitian, so only its diagonal d and strict upper triangle U are
+    stored, and h v = d * v + U v + U^H v: U v gathers along U's rows, U^H v
+    scatters through the transposed view of the same arrays (for complex h as
+    conj(U^T conj(v)), so that U is never copied).  The rows are cut into
+    _CHUNKS chunks of whole row blocks, whatever the CPU count; each chunk
+    gathers into its rows of the output and scatters into a partial vector of
+    its own, and the partials are added in chunk order, so the bits do not
+    depend on the CPU count.  Up to _DIAG_CACHE_ENTRIES stored entries each
+    chunk is built once and kept; above that every call rebuilds it one row
+    block at a time, with the same sums.  Either way `_shared` hands the
+    chunks out to the calling thread and helper threads.  Real for real h and v.
     """
     rows = _MatrixRows(h)
-    if rows.runs * rows.dim > _DIAG_CACHE_ENTRIES:
-        blocks = rows.dim // rows.block
-        return lambda v: np.concatenate(_shared(blocks, lambda i: rows(i * rows.block, (i + 1) * rows.block) @ v))
-    span = -(-rows.dim // (_cpus() * rows.block)) * rows.block
-    starts = range(0, rows.dim, span)
-    mats = _shared(len(starts), lambda i: rows(starts[i], min(starts[i] + span, rows.dim)))
-    return lambda v: np.concatenate(_shared(len(mats), lambda i: mats[i] @ v))
+    dim, dtype, block, span = rows.dim, rows.low.dtype, rows.block, rows.span
+    starts = range(0, dim, span)
+    if rows.stored > _DIAG_CACHE_ENTRIES:
+        def pieces(c: int):
+            return (rows.upper(s, block) for s in range(starts[c], starts[c] + span, block))
+    else:
+        kept = _shared(len(starts), lambda c: rows.upper(starts[c], span))
+
+        def pieces(c: int):
+            return (kept[c],)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        out = np.empty(dim, dtype=np.result_type(dtype, v.dtype))
+        w = v.conj() if dtype.kind == "c" else v
+
+        def chunk(c: int) -> np.ndarray:
+            partial = np.zeros_like(out)
+            for start, diag, indptr, cols, data in pieces(c):
+                n, stop = len(diag), start + len(diag)
+                # scipy's own kernels, which add into their last argument (its public product starts
+                # from zeros), so that a chunk rebuilt block by block adds in the order of a kept one
+                np.multiply(diag, v[start:stop], out=out[start:stop])
+                _sparsetools.csr_matvec(n, dim, indptr, cols, data, v, out[start:stop])
+                _sparsetools.csc_matvec(dim, n, indptr, cols, data, w[start:stop], partial)
+            return np.conjugate(partial, out=partial) if dtype.kind == "c" else partial
+
+        for partial in _shared(len(starts), chunk):
+            out += partial
+        return out
+
+    return matvec
 
 
 def apply_operator(h: Operator, vec: np.ndarray) -> np.ndarray:

@@ -373,7 +373,8 @@ def reference_expectation(ref: PurifiedReference, h: Operator) -> float:
 
 def run_matvec(h: Operator, v: np.ndarray) -> np.ndarray:
     """h @ v for a real h, flip run by flip run in ascending x, each run's
-    diagonal summed in term order: the order whose bits the sparse matvec keeps."""
+    diagonal summed in term order: whole rows, one entry per row and flip run,
+    where the sparse matvec stores half of them."""
     runs: dict[int, list[int]] = {}
     for i, x in enumerate(h.x_masks.tolist()):
         runs.setdefault(x, []).append(i)

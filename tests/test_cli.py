@@ -191,6 +191,16 @@ def test_compress_rejects_non_finite_epsilon(tmp_path, capsys, value):
     assert not (tmp_path / "small.compressed.op").exists()
 
 
+def test_compress_refuses_to_drop_every_term(tmp_path, capsys):
+    # the empty operator it would write is one that no command reads back
+    op = tmp_path / "a.op"
+    op.write_text("0.5 ZZ\n0.3 XX\n")
+    assert main(["--outdir", str(tmp_path), "compress", str(op), "--epsilon", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "epsilon 10.0 would drop every term" in err and "dropped_norm=1.166" in err
+    assert not (tmp_path / "a.compressed.op").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--epsilon", "nan"), ("--epsilon", "inf"), ("--grad-threshold", "nan"),

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -103,15 +103,24 @@ def helpers(monkeypatch):
     pool.shutdown()
 
 
+def _tolerance(h: Operator) -> float:
+    """Rounding allowed between two summation orders of h @ v for |v| of a few units."""
+    return 1e-12 * (1.0 + float(np.abs(h.coefficients).sum()))
+
+
 @pytest.mark.parametrize("n, blocks", [(5, 2), (6, 8), (8, 16)])
 def test_shared_matvec_bits_do_not_depend_on_the_cpu_count(rng, monkeypatch, helpers, n, blocks):
-    # two row blocks leave three CPUs with more threads than chunks
+    # blocks > _CHUNKS rebuilds each chunk in several row blocks; a block never spans two chunks
     for odd_y in (False, True):
         h = _operator(rng, n, odd_y)
         monkeypatch.setattr(exact, "_BLOCK_ENTRIES", exact._MatrixRows(h).runs * (1 << n) // blocks)
-        assert exact._MatrixRows(h).block == (1 << n) // blocks
+        assert exact._MatrixRows(h).block == (1 << n) // max(blocks, exact._CHUNKS)
         vs = [rng.standard_normal(1 << n), rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)]
-        want = [exact._MatrixRows(h)(0, 1 << n) @ v for v in vs]  # one CSR matrix, one thread
+        full = exact._MatrixRows(h)(0, 1 << n)  # one CSR matrix of whole rows
+        want = [exact.make_matvec(h)(v) for v in vs]
+        for v, out in zip(vs, want):
+            assert out.dtype == (full @ v).dtype
+            assert np.allclose(out, full @ v, rtol=0.0, atol=_tolerance(h))
         for budget, cpus in itertools.product((exact._DIAG_CACHE_ENTRIES, 0), (1, 2, 3)):
             monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", budget)
             monkeypatch.setattr(exact, "_cpus", lambda: cpus)
@@ -119,6 +128,32 @@ def test_shared_matvec_bits_do_not_depend_on_the_cpu_count(rng, monkeypatch, hel
             for v, out in zip(vs, want):
                 got = matvec(v)
                 assert got.dtype == out.dtype and np.array_equal(got, out)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_kept_matrix_stores_the_diagonal_and_half_the_rest(rng, monkeypatch, diagonal):
+    # a budget between the stored and the whole-row count keeps the matrix: built once, never rebuilt
+    h = random_real_operator(rng, 7, 40)
+    h = Operator(7, [(w, c) for w, c in h if w.x_mask] + ([(PauliWord(7, 0, 5), 0.3)] if diagonal else []))
+    off = len(np.unique(h.x_masks[h.x_masks != 0]))
+    rows, dim = exact._MatrixRows(h), 1 << 7
+    assert rows.runs == off + diagonal and rows.stored == dim * (1 + off / 2) < rows.runs * dim
+    monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", (rows.stored + rows.runs * dim) // 2)
+    built, upper = [], exact._MatrixRows.upper
+    monkeypatch.setattr(exact._MatrixRows, "upper", lambda self, *args: built.append(upper(self, *args)) or built[-1])
+    monkeypatch.setattr(exact._MatrixRows, "__call__", lambda *args: pytest.fail("whole rows built"))
+    v = rng.standard_normal(dim)
+    matvec = exact.make_matvec(h)
+    assert len(built) == exact._CHUNKS
+    assert sum(len(diag) + len(data) for _, diag, _, _, data in built) == rows.stored
+    for start, diag, indptr, cols, data in built:  # strictly upper: column i ^ x > row i
+        assert np.all(cols > np.repeat(np.arange(start, start + len(diag)), np.diff(indptr)))
+    for _ in range(3):
+        assert np.allclose(matvec(v), dense_op(h) @ v, rtol=0.0, atol=_tolerance(h))
+    assert len(built) == exact._CHUNKS
+    monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", rows.stored - 1)  # over it: rebuilt on every call
+    exact.make_matvec(h)(v)
+    assert len(built) > exact._CHUNKS
 
 
 def test_shared_hands_out_every_index_once(monkeypatch):
@@ -160,7 +195,7 @@ def test_matvec_does_not_wait_for_helpers_that_never_start(rng, monkeypatch):
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 64)
     h = _operator(rng, 7, False)
     v = rng.standard_normal(1 << 7)
-    want = exact._MatrixRows(h)(0, 1 << 7) @ v
+    want, kept = exact._MatrixRows(h)(0, 1 << 7) @ v, []
     release = threading.Event()
     valve = threading.Timer(30.0, release.set)  # frees the worker should the matvec wait after all
     pool = ThreadPoolExecutor(1)
@@ -172,8 +207,10 @@ def test_matvec_does_not_wait_for_helpers_that_never_start(rng, monkeypatch):
         for budget in (exact._DIAG_CACHE_ENTRIES, 0):
             monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", budget)
             start = time.perf_counter()
-            assert np.array_equal(exact.make_matvec(h)(v), want)
+            kept.append(exact.make_matvec(h)(v))
             assert time.perf_counter() - start < 10.0 and not release.is_set()
+            assert np.array_equal(kept[-1], kept[0])
+            assert np.allclose(kept[-1], want, rtol=0.0, atol=_tolerance(h))
     finally:
         release.set()
         valve.cancel()
@@ -218,20 +255,27 @@ def operator_vector_word(draw):
     return Operator(n, terms), v, PauliWord(n, draw(mask), draw(mask))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(operator_vector_word())
-def test_matvec_matches_dense_oracle(case):
-    # both sides of the cache budget, the dense matrix and apply_word against Kronecker products
+def test_matvec_matches_dense_oracle(helpers, case):
+    # one to three CPUs on both sides of the cache budget (the same bits), the dense matrix
+    # and apply_word against Kronecker products; n = 1 leaves three CPUs more threads than chunks
     h, v, w = case
     real = not any(y_parity(t) for t, _ in h)
-    kept = exact.make_matvec(h)(v)
-    with mock.patch.object(exact, "_DIAG_CACHE_ENTRIES", 0), mock.patch.object(exact, "_BLOCK_ENTRIES", 1):
-        rebuilt = exact.make_matvec(h)(v)
-    assert kept.dtype == rebuilt.dtype == (np.float64 if real and v.dtype == np.float64 else np.complex128)
-    assert np.array_equal(kept, rebuilt)
+    outs = []
+    for cpus in (1, 2, 3):
+        with mock.patch.object(exact, "_cpus", lambda: cpus):
+            outs.append(exact.make_matvec(h)(v))
+            with mock.patch.object(exact, "_DIAG_CACHE_ENTRIES", 0), mock.patch.object(exact, "_BLOCK_ENTRIES", 1):
+                outs.append(exact.make_matvec(h)(v))
+    kept = outs[0]
+    assert kept.dtype == (np.float64 if real and v.dtype == np.float64 else np.complex128)
+    for out in outs:
+        assert out.dtype == kept.dtype and np.array_equal(out, kept)
     assert np.allclose(kept, dense_op(h) @ v, rtol=0.0, atol=1e-12)
+    assert np.allclose(kept, exact._MatrixRows(h)(0, 1 << h.n_qubits) @ v, rtol=0.0, atol=_tolerance(h))
     if real:
-        assert np.array_equal(kept, run_matvec(h, v))
+        assert np.allclose(kept, run_matvec(h, v), rtol=0.0, atol=_tolerance(h))
     mat = dense_matrix(h)
     assert mat.dtype == (np.float64 if real else np.complex128)
     assert np.allclose(mat, dense_op(h), rtol=0.0, atol=1e-12)
