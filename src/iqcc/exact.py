@@ -14,11 +14,13 @@ and the eigenvalue error is at most that residual squared over the spectral
 gap.  A pair that still misses the checked residual (large |E|) is resumed
 once from its own vector at machine precision.
 
-The matrix build and the matvec are shared out in a fixed number of row
-chunks between the calling thread and helper threads, one fewer than the
-CPUs in this process's affinity mask (`taskset` limits them).  The chunks
-do not depend on the CPU count and their partial sums are added in chunk
-order, so every bit is the same on any number of threads.
+The matrix build and the matvec are cut into row chunks, one per
+_CHUNK_ENTRIES stored entries (a power of two, at most _CHUNKS), and shared
+out between the calling thread and helper threads, one fewer than the CPUs
+in this process's affinity mask (`taskset` limits them); a small matrix is
+one chunk on the calling thread.  The chunks depend on the operator alone,
+not on the CPU count, and their partial sums are added in chunk order, so
+every bit is the same on any number of threads.
 """
 
 from __future__ import annotations
@@ -46,8 +48,13 @@ _DIAG_CACHE_ENTRIES = 1 << 25
 # Entries per row block (rows x flip runs), which bounds the build's temporaries.
 _BLOCK_ENTRIES = 1 << 16
 
-# Row chunks of the matvec (one per row below that many rows), each with a
-# partial vector of its own; a constant, so that no sum depends on the CPU count.
+# Row chunks of the matvec: one per _CHUNK_ENTRIES stored entries, rounded down
+# to a power of two, at most _CHUNKS and one per row, each with a partial vector
+# of its own.  Fixed by the operator, so that no sum depends on the CPU count; a
+# small matrix is one chunk on the calling thread, since handing chunks to helper
+# threads costs more than its product.  A row block stays within dim / _CHUNKS
+# rows at any chunk count, which bounds the [terms x block] sign table.
+_CHUNK_ENTRIES = 1 << 16
 _CHUNKS = 8
 
 # Seed of the fixed start vector of the iterative solve.
@@ -145,9 +152,8 @@ class _MatrixRows:
         run_x, bounds = flip_runs(h)
         self.run_x = run_x.astype(np.int32)  # column offsets: int32 CSR indices
         self.dim, self.runs, terms = 1 << h.n_qubits, len(run_x), len(xs)
-        # a power of two rows, within one matvec chunk (see make_matvec)
-        self.span = max(1, self.dim // _CHUNKS)
-        self.block = min(self.span, 1 << max(0, (_BLOCK_ENTRIES // max(self.runs, 1)).bit_length() - 1))
+        # a power of two rows, at most dim / _CHUNKS and so within one matvec chunk (see make_matvec)
+        self.block = min(self.dim // _CHUNKS or 1, 1 << max(0, (_BLOCK_ENTRIES // max(self.runs, 1)).bit_length() - 1))
         phase = np.array([1, -1j, -1, 1j])[np.bitwise_count(xs & self.zs) & 3]
         coef = h.coefficients * (phase if phase.imag.any() else phase.real)
         self.low = coef[:, None] * parity_signs(np.arange(self.block, dtype=np.uint64), self.zs[:, None])
@@ -156,6 +162,8 @@ class _MatrixRows:
         self.diagonal = int(self.runs > 0 and run_x[0] == 0)
         self.top = np.array([1 << (x.bit_length() - 1) for x in run_x[self.diagonal :].tolist()], dtype=np.int32)
         self.stored = self.dim + self.dim // 2 * len(self.top)  # the diagonal and the strict upper triangle
+        chunks = min(_CHUNKS, self.dim, 1 << (max(1, self.stored // _CHUNK_ENTRIES).bit_length() - 1))
+        self.span = self.dim // chunks  # rows per matvec chunk
 
     def _values(self, s: int) -> np.ndarray:
         """[block x runs] values of rows s..s+block-1, a transposed view."""
@@ -204,13 +212,16 @@ def make_matvec(h: Operator):
     stored, and h v = d * v + U v + U^H v: U v gathers along U's rows, U^H v
     scatters through the transposed view of the same arrays (for complex h as
     conj(U^T conj(v)), so that U is never copied).  The rows are cut into
-    _CHUNKS chunks of whole row blocks, whatever the CPU count; each chunk
-    gathers into its rows of the output and scatters into a partial vector of
-    its own, and the partials are added in chunk order, so the bits do not
-    depend on the CPU count.  Up to _DIAG_CACHE_ENTRIES stored entries each
-    chunk is built once and kept; above that every call rebuilds it one row
-    block at a time, with the same sums.  Either way `_shared` hands the
-    chunks out to the calling thread and helper threads.  Real for real h and v.
+    chunks of whole row blocks, as many as the stored entries call for (see
+    _CHUNK_ENTRIES), whatever the CPU count; each chunk gathers into its rows
+    of the output and scatters into a partial vector of its own, and the
+    partials are added in chunk order, so the bits do not depend on the CPU
+    count.  Up to _DIAG_CACHE_ENTRIES stored entries each chunk is built once
+    and kept; above that every call rebuilds it one row block at a time, with
+    the same sums.  Either way `_shared` hands the chunks out to the calling
+    thread and helper threads.  Real for real h and v; a real h applies to a
+    complex v's real and imaginary parts apart, with the bits of the complex
+    product but no complex copy of the matrix.
     """
     rows = _MatrixRows(h)
     dim, dtype, block, span = rows.dim, rows.low.dtype, rows.block, rows.span
@@ -225,6 +236,13 @@ def make_matvec(h: Operator):
             return (kept[c],)
 
     def matvec(v: np.ndarray) -> np.ndarray:
+        if dtype.kind != "c" and v.dtype.kind == "c":
+            out = np.empty(dim, dtype=np.result_type(dtype, v.dtype))
+            out.real, out.imag = product(np.ascontiguousarray(v.real)), product(np.ascontiguousarray(v.imag))
+            return out
+        return product(v)
+
+    def product(v: np.ndarray) -> np.ndarray:
         out = np.empty(dim, dtype=np.result_type(dtype, v.dtype))
         w = v.conj() if dtype.kind == "c" else v
 
@@ -273,7 +291,9 @@ def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
     "iterative" runs ARPACK's implicitly restarted Lanczos (`eigsh`) over
     `make_matvec` (n <= 16) from a fixed start vector to the relative
     tolerance _ARPACK_TOL and checks the residual ||hv - ev|| < 1e-9 (see
-    `_arpack_lowest`); "auto" picks whichever budget admits.  Both work in
+    `_arpack_lowest`); "auto" solves dense below DENSE_QUBIT_LIMIT qubits and
+    iterative from there up, falling back to dense at the limit itself when
+    the iterative solve fails (a large |E| can miss the residual).  Both work in
     float64 for real h.  Raises BudgetError beyond both budgets and
     ArithmeticError when a solve fails, stalls, misses the residual or
     returns a non-finite eigenvalue (an h whose entries overflow).
@@ -281,14 +301,20 @@ def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
     if h.is_empty:
         raise ValueError("cannot solve an empty operator")
     n = h.n_qubits
-    if mode == "auto":
-        mode = "dense" if n <= DENSE_QUBIT_LIMIT else "iterative"
+    auto = mode == "auto"
+    if auto:
+        mode = "dense" if n < DENSE_QUBIT_LIMIT else "iterative"
     if mode == "iterative":
         if n > ITERATIVE_QUBIT_LIMIT:
             raise BudgetError(f"iterative mode limited to {ITERATIVE_QUBIT_LIMIT} qubits, got {n}")
         # ARPACK's complex driver needs 2**n > k + 1, so one qubit is solved dense
         if n > 1:
-            return _arpack_lowest(h)
+            try:
+                return _arpack_lowest(h)
+            except ArithmeticError:
+                # float64 cannot reach the checked residual once |E| is ~1e6; at its limit dense can solve it
+                if not (auto and n == DENSE_QUBIT_LIMIT):
+                    raise
     elif mode != "dense":
         raise ValueError(f"unknown mode {mode!r}")
     if n > DENSE_QUBIT_LIMIT:

@@ -99,6 +99,21 @@ def random_real_operator(rng: np.random.Generator, n: int, n_terms: int, scale: 
     return Operator(n, terms)
 
 
+def capacity_operator(n: int, seed: int = 1111, n_terms: int = 825) -> Operator:
+    """Random 4-local even-y operator, acceptance criterion 11's recipe on n qubits."""
+    rng = np.random.default_rng(seed)
+    words: set[tuple[int, int]] = set()
+    while len(words) < n_terms:
+        x = z = 0
+        for j in rng.choice(n, size=4, replace=False).tolist():
+            letter = int(rng.integers(3))  # x, z or y
+            x |= (letter != 1) << j
+            z |= (letter != 0) << j
+        if (x & z).bit_count() % 2 == 0 and (x | z):
+            words.add((x, z))
+    return Operator(n, [(PauliWord(n, x, z), float(rng.normal(0, 0.3))) for x, z in words])
+
+
 def random_real_2local(seed: int, n: int = 4, coupling: float = 0.3, p_term: float = 0.7) -> Operator:
     """Random real 2-local Hamiltonian: z fields plus XX/YY/ZZ couplings.
 

@@ -37,6 +37,7 @@ from iqcc.screening import build_dis, flip_set, partition_sectors, two_qubit_pau
 
 from conftest import (
     basis_state_vector,
+    capacity_operator,
     dense_op,
     dense_word,
     determinant_hamiltonian,
@@ -345,24 +346,7 @@ def test_criterion_10_mapping_correctness():
 
 def test_criterion_11_capacity():
     with criterion("11 capacity"):
-        rng = np.random.default_rng(1111)
-        n = 14
-        words: set[tuple[int, int]] = set()
-        while len(words) < 825:
-            support = rng.choice(n, size=4, replace=False)
-            x = z = 0
-            for j in support:
-                letter = int(rng.integers(3))
-                if letter == 0:
-                    x |= 1 << j
-                elif letter == 1:
-                    z |= 1 << j
-                else:
-                    x |= 1 << j
-                    z |= 1 << j
-            if (x & z).bit_count() % 2 == 0 and (x | z):
-                words.add((x, z))
-        h = Operator(n, [(PauliWord(n, x, z), float(rng.normal(0, 0.3))) for x, z in words])
+        h = capacity_operator(14)
         assert len(h) == 825
 
         t0 = time.perf_counter()

@@ -24,11 +24,14 @@ from iqcc.exact import (
     expectation,
     ground_state,
 )
+from iqcc.fermion import jordan_wigner
 from iqcc.pauli import Operator, PauliWord, y_parity
 
 from conftest import (
+    capacity_operator,
     dense_op,
     dense_word,
+    random_integrals,
     random_odd_y_word,
     random_operator,
     random_real_operator,
@@ -110,11 +113,14 @@ def _tolerance(h: Operator) -> float:
 
 @pytest.mark.parametrize("n, blocks", [(5, 2), (6, 8), (8, 16)])
 def test_shared_matvec_bits_do_not_depend_on_the_cpu_count(rng, monkeypatch, helpers, n, blocks):
-    # blocks > _CHUNKS rebuilds each chunk in several row blocks; a block never spans two chunks
+    # blocks > _CHUNKS rebuilds each chunk in several row blocks; a block never spans two chunks;
+    # one chunk per stored entry, so that these small operators run the most chunks
+    monkeypatch.setattr(exact, "_CHUNK_ENTRIES", 1)
     for odd_y in (False, True):
         h = _operator(rng, n, odd_y)
         monkeypatch.setattr(exact, "_BLOCK_ENTRIES", exact._MatrixRows(h).runs * (1 << n) // blocks)
-        assert exact._MatrixRows(h).block == (1 << n) // max(blocks, exact._CHUNKS)
+        rows = exact._MatrixRows(h)
+        assert rows.block == (1 << n) // max(blocks, exact._CHUNKS) and rows.span == (1 << n) // exact._CHUNKS
         vs = [rng.standard_normal(1 << n), rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)]
         full = exact._MatrixRows(h)(0, 1 << n)  # one CSR matrix of whole rows
         want = [exact.make_matvec(h)(v) for v in vs]
@@ -132,7 +138,9 @@ def test_shared_matvec_bits_do_not_depend_on_the_cpu_count(rng, monkeypatch, hel
 
 @pytest.mark.parametrize("diagonal", [False, True])
 def test_kept_matrix_stores_the_diagonal_and_half_the_rest(rng, monkeypatch, diagonal):
-    # a budget between the stored and the whole-row count keeps the matrix: built once, never rebuilt
+    # a budget between the stored and the whole-row count keeps the matrix: built once, never rebuilt;
+    # one chunk per stored entry, so that it is built in the most chunks
+    monkeypatch.setattr(exact, "_CHUNK_ENTRIES", 1)
     h = random_real_operator(rng, 7, 40)
     h = Operator(7, [(w, c) for w, c in h if w.x_mask] + ([(PauliWord(7, 0, 5), 0.3)] if diagonal else []))
     off = len(np.unique(h.x_masks[h.x_masks != 0]))
@@ -154,6 +162,61 @@ def test_kept_matrix_stores_the_diagonal_and_half_the_rest(rng, monkeypatch, dia
     monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", rows.stored - 1)  # over it: rebuilt on every call
     exact.make_matvec(h)(v)
     assert len(built) > exact._CHUNKS
+
+
+def test_chunks_follow_the_stored_entries_alone(monkeypatch):
+    # one chunk per _CHUNK_ENTRIES stored entries, rounded down to a power of two, at most _CHUNKS
+    for h, stored, chunks in (
+        (jordan_wigner(random_integrals(np.random.default_rng(0), 5)), 67_584, 1),
+        (capacity_operator(10), 146_432, 2),
+        (capacity_operator(11), 343_040, 4),
+        (capacity_operator(13), 1_736_704, 8),
+    ):
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(exact, "_cpus", lambda: cpus)
+            rows = exact._MatrixRows(h)
+            assert (rows.stored, rows.dim // rows.span) == (stored, chunks)
+            assert rows.block <= rows.dim // exact._CHUNKS  # the row block does not grow with the chunk
+    # one chunk runs on the calling thread alone
+    monkeypatch.setattr(exact, "_pool", None)
+    monkeypatch.setattr(exact, "_cpus", lambda: 2)
+    h = capacity_operator(7)
+    exact.make_matvec(h)(np.ones(1 << 7))
+    assert exact._MatrixRows(h).span == 1 << 7 and exact._pool is None
+
+
+def test_real_operator_applies_to_a_complex_state_in_real_arithmetic(rng, monkeypatch):
+    # the bits of the complex product (the matrix typed complex), without complex kernels
+    init = exact._MatrixRows.__init__
+
+    def complex_init(self, h):
+        init(self, h)
+        self.low = self.low.astype(np.complex128)
+
+    kernels = exact._sparsetools
+    seen = set()
+
+    def spy(kernel):
+        def run(*args):
+            seen.update(a.dtype for a in args[4:])  # data, x and y
+            return kernel(*args)
+
+        return run
+
+    for entries, n in ((exact._CHUNK_ENTRIES, 7), (1, 7), (1, 3)):  # one chunk, eight, one per row
+        monkeypatch.setattr(exact, "_CHUNK_ENTRIES", entries)
+        h = _operator(rng, n, False)
+        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        with monkeypatch.context() as m:
+            m.setattr(exact._MatrixRows, "__init__", complex_init)
+            want = exact.make_matvec(h)(v)
+        with monkeypatch.context() as m:
+            spies = mock.Mock(csr_matvec=spy(kernels.csr_matvec), csc_matvec=spy(kernels.csc_matvec))
+            m.setattr(exact, "_sparsetools", spies)
+            got = exact.make_matvec(h)(v)
+        assert got.dtype == want.dtype == np.complex128 and np.array_equal(got, want)
+        assert seen == {np.dtype(np.float64)}
+        assert np.allclose(got, dense_op(h) @ v, rtol=0.0, atol=_tolerance(h))
 
 
 def test_shared_hands_out_every_index_once(monkeypatch):
@@ -193,6 +256,7 @@ def test_shared_raises_the_error_of_a_chunk(monkeypatch, helpers):
 def test_matvec_does_not_wait_for_helpers_that_never_start(rng, monkeypatch):
     # the pool's only worker is blocked, so every queued helper stays pending
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(exact, "_CHUNK_ENTRIES", 1)  # eight chunks, so that helpers are asked for
     h = _operator(rng, 7, False)
     v = rng.standard_normal(1 << 7)
     want, kept = exact._MatrixRows(h)(0, 1 << 7) @ v, []
@@ -230,6 +294,7 @@ def test_forked_child_starts_without_the_parents_pool(monkeypatch, helpers):
 
 def test_iterative_ground_state_bits_do_not_depend_on_the_cpu_count(rng, monkeypatch, helpers):
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 1 << 12)
+    monkeypatch.setattr(exact, "_CHUNK_ENTRIES", 1)  # eight chunks
     h = random_real_operator(rng, 12, 40)
     assert exact._MatrixRows(h).block < 1 << 10  # eight or more row blocks
     solved = []
@@ -259,12 +324,13 @@ def operator_vector_word(draw):
 @given(operator_vector_word())
 def test_matvec_matches_dense_oracle(helpers, case):
     # one to three CPUs on both sides of the cache budget (the same bits), the dense matrix
-    # and apply_word against Kronecker products; n = 1 leaves three CPUs more threads than chunks
+    # and apply_word against Kronecker products; n = 1 leaves three CPUs more threads than chunks,
+    # and one chunk per stored entry gives these small operators the most chunks
     h, v, w = case
     real = not any(y_parity(t) for t, _ in h)
     outs = []
     for cpus in (1, 2, 3):
-        with mock.patch.object(exact, "_cpus", lambda: cpus):
+        with mock.patch.object(exact, "_cpus", lambda: cpus), mock.patch.object(exact, "_CHUNK_ENTRIES", 1):
             outs.append(exact.make_matvec(h)(v))
             with mock.patch.object(exact, "_DIAG_CACHE_ENTRIES", 0), mock.patch.object(exact, "_BLOCK_ENTRIES", 1):
                 outs.append(exact.make_matvec(h)(v))
@@ -328,6 +394,40 @@ def test_iterative_energy_matches_dense_to_1e_10(n):
         # the dense solve's one pair is a unit eigenvector with its energy
         assert v.shape == (1 << n,) and abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert np.linalg.norm(apply_operator(h, v) - e * v) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 6, 9])
+def test_auto_solves_dense_below_the_dense_limit(n):
+    rng = np.random.default_rng(n)
+    for odd_y in (False, True):
+        h = _operator(rng, n, odd_y)
+        (e, v), (ed, vd) = ground_state(h), ground_state(h, mode="dense")
+        assert e == ed and np.array_equal(v, vd)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: jordan_wigner(random_integrals(np.random.default_rng(0), 5)), lambda: capacity_operator(10)]
+)
+def test_auto_solves_iterative_from_the_dense_limit(make):
+    h = make()
+    assert h.n_qubits == exact.DENSE_QUBIT_LIMIT
+    (e, v), (ei, vi) = ground_state(h), ground_state(h, mode="iterative")
+    assert e == ei and np.array_equal(v, vi)
+    assert abs(e - ground_state(h, mode="dense")[0]) < 1e-10
+
+
+def test_auto_falls_back_to_dense_at_the_dense_limit_only():
+    # at |E| ~ 5e6 float64 leaves the residual above 1e-9 even at machine precision
+    h = jordan_wigner(random_integrals(np.random.default_rng(0), 5)) * 1e6
+    with pytest.raises(ArithmeticError, match="residual"):
+        ground_state(h, mode="iterative")
+    e, v = ground_state(h)
+    ed, vd = ground_state(h, mode="dense")
+    assert e == ed and np.array_equal(v, vd)
+    # the same operator with a qubit more is past the dense limit: the miss is raised
+    wide = Operator(11, [(PauliWord(11, w.x_mask, w.z_mask), c) for w, c in h] + [(PauliWord(11, 1 << 10, 0), 1.0)])
+    with pytest.raises(ArithmeticError, match="residual"):
+        ground_state(wide)
 
 
 def test_a_missed_residual_resumes_once_at_machine_precision(monkeypatch):
