@@ -7,7 +7,8 @@ reference of the previous angles, optimizes the new amplitudes jointly with
 all Bloch angles, then folds the optimized exponentials into the
 Hamiltonian.  The classical objective is the product-state energy of the
 dressed operator, which equals the circuit expectation value exactly; no
-statevector is ever simulated in the loop.
+statevector is ever simulated in the loop.  It is minimized by the package's
+own BFGS (`iqcc.bfgs`) from several starts.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
+from .bfgs import minimize as _scipy_minimize  # bench/tracing.py wraps this binding by name
 from .compression import compress
 from .dressing import DressingStep, dress, dress_derivative, dress_sequence
 from .pauli import Operator, PauliWord
@@ -161,7 +162,7 @@ def optimize_step(
 
     best_x, best_e = None, math.inf
     for x0 in starts:
-        res = _scipy_minimize(fun, x0, jac=True, method="BFGS", options={"gtol": 1e-8, "maxiter": 500})
+        res = _scipy_minimize(fun, x0, maxiter=500)
         if math.isfinite(res.fun) and res.fun < best_e:
             best_x, best_e = res.x, float(res.fun)
     if best_x is None:

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
+from .bfgs import minimize
 from .pauli import DimensionError, Operator, frozen
 
 logger = logging.getLogger(__name__)
 
-GRAD_TOL = 1e-8  # quasi-Newton exit criterion (gradient infinity norm)
 _K = 4  # qubits per block of the pattern tables
 _PATTERNS = 4**_K  # letter patterns of one block
 # bit q of a block's x or z mask moved to bit 2q: its share of the pattern
@@ -205,13 +204,7 @@ def _minimize_local(h: Operator, theta0: np.ndarray, phi0: np.ndarray) -> tuple[
         e, gt, gp = energy_and_gradient(s, h)
         return e, np.concatenate([gt, gp])
 
-    res = _scipy_minimize(
-        fun,
-        np.concatenate([theta0, phi0]),
-        jac=True,
-        method="BFGS",
-        options={"gtol": GRAD_TOL, "maxiter": 1000},
-    )
+    res = minimize(fun, np.concatenate([theta0, phi0]), maxiter=1000)
     return BlochState(res.x[:n], res.x[n:]).normalized(), float(res.fun)
 
 
