@@ -9,7 +9,7 @@ energy, backed by an exact-diagonalization oracle for verification.
 from .compression import CompressionReport, compress
 from .dressing import DressingStep, dress, dress_derivative, dress_sequence
 from .driver import ExtrapolationFit, IqccConfig, IterationRecord, extrapolate, iqcc_run, optimize_step
-from .exact import BudgetError, apply_operator, apply_word, dense_matrix, expectation, ground_state
+from .exact import BudgetError, apply_operator, dense_matrix, expectation, ground_state
 from .fermion import (
     IntegralData,
     QubitAssignment,

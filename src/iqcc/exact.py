@@ -5,8 +5,8 @@ index is qubit j (|1> is the -1 eigenstate of z).  A Pauli word sends basis
 state i to i ^ x_mask with a sign and an i-phase, so h is a sparse matrix
 with one entry per row and flip run (terms of one x_mask).  It is real
 symmetric (float64) unless a term has an odd number of y letters (complex128,
-Hermitian), so the iterative solve stores its diagonal and, of each pair of
-entries <i|h|j> and <j|h|i>, only the one with j > i.
+Hermitian), so the matvec and the dense matrix both read its diagonal and, of
+each pair of entries <i|h|j> and <j|h|i>, only the one with j > i.
 
 The iterative solve stops at the accuracy its caller checks, not at machine
 precision: ARPACK stops once its residual estimate is below _ARPACK_TOL * |E|,
@@ -35,7 +35,7 @@ from scipy.linalg import eigh
 from scipy.sparse import _sparsetools, csr_array
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from .pauli import DimensionError, Operator, PauliWord, flip_runs, parity_signs
+from .pauli import DimensionError, Operator, flip_runs, parity_signs
 
 DENSE_QUBIT_LIMIT = 10
 ITERATIVE_QUBIT_LIMIT = 16
@@ -131,14 +131,9 @@ def _check_dim(vec: np.ndarray, n_qubits: int) -> None:
         raise DimensionError(f"state length {vec.shape} does not match {n_qubits} qubits")
 
 
-def apply_word(vec: np.ndarray, w: PauliWord) -> np.ndarray:
-    """Apply one Pauli word to a state vector (norm-preserving)."""
-    return apply_operator(Operator(w.n_qubits, [(w, 1.0)]), vec)
-
-
 class _MatrixRows:
-    """Rows of the matrix of h, built `block` rows at a time: whole (`__call__`)
-    or as the diagonal and the strict upper triangle (`upper`).
+    """Rows of the matrix of h, built `block` rows at a time as the diagonal and
+    the strict upper triangle (`upper`), which the matvec and `dense_matrix` read.
 
     Row i holds, per flip run (`pauli.flip_runs`) in ascending x order, column
     i ^ x and value <i|h|i ^ x>: the run's c * (-i)**#y * (-1)**popcount(i & z)
@@ -168,17 +163,6 @@ class _MatrixRows:
     def _values(self, s: int) -> np.ndarray:
         """[block x runs] values of rows s..s+block-1, a transposed view."""
         return (self.incidence @ (parity_signs(np.uint64(s), self.zs[:, None]) * self.low)).T
-
-    def __call__(self, start: int, stop: int) -> csr_array:
-        """Rows start..stop-1 (multiples of the block) as a CSR matrix; its
-        int32 indices suffice, since 2**31 entries would take 24 GB."""
-        shape = ((stop - start) // self.block, self.block, self.runs)
-        data, cols = np.empty(shape, dtype=self.low.dtype), np.empty(shape, dtype=np.int32)
-        for k, s in enumerate(range(start, stop, self.block)):
-            data[k] = self._values(s)
-            np.bitwise_xor(np.arange(s, s + self.block, dtype=np.int32)[:, None], self.run_x, out=cols[k])
-        indptr = np.arange(stop - start + 1, dtype=np.int32) * self.runs
-        return csr_array((data.ravel(), cols.ravel(), indptr), shape=(stop - start, self.dim))
 
     def upper(self, start: int, span: int) -> tuple:
         """Rows start..start+span-1 (span a power of two, at least the block,
@@ -280,8 +264,19 @@ def expectation(vec: np.ndarray, h: Operator) -> float:
 
 
 def dense_matrix(h: Operator) -> np.ndarray:
-    """Dense 2**n x 2**n matrix of h (exponential; intended for n <= ~12)."""
-    return _MatrixRows(h)(0, 1 << h.n_qubits).toarray()
+    """Dense 2**n x 2**n matrix of h up to DENSE_QUBIT_LIMIT qubits (BudgetError
+    above, before anything is built): the diagonal and each entry the matvec
+    stores (`_MatrixRows.upper`) at (i, j), its conjugate at (j, i), unsummed."""
+    if h.n_qubits > DENSE_QUBIT_LIMIT:
+        raise BudgetError(f"dense mode limited to {DENSE_QUBIT_LIMIT} qubits, got {h.n_qubits}")
+    rows, dim = _MatrixRows(h), 1 << h.n_qubits
+    _, diag, indptr, cols, data = rows.upper(0, dim)
+    mat = np.zeros((dim, dim), dtype=data.dtype)
+    flat, i = mat.reshape(-1), np.repeat(np.arange(dim), np.diff(indptr))
+    flat[i * dim + cols] = data
+    flat[cols * dim + i] = data.conj()
+    flat[:: dim + 1] = diag
+    return mat
 
 
 def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
@@ -317,8 +312,6 @@ def ground_state(h: Operator, mode: str = "auto") -> tuple[float, np.ndarray]:
                     raise
     elif mode != "dense":
         raise ValueError(f"unknown mode {mode!r}")
-    if n > DENSE_QUBIT_LIMIT:
-        raise BudgetError(f"dense mode limited to {DENSE_QUBIT_LIMIT} qubits, got {n}")
     # only the lowest pair; LAPACK finds none at all when an entry is infinite
     evals, evecs = eigh(dense_matrix(h), subset_by_index=[0, 0], check_finite=False)
     if evals.size != 1 or not np.isfinite(evals[0]):

@@ -228,8 +228,8 @@ def qmf_minimize(h: Operator, n_guesses: int = 10, rng_seed: int = 0) -> tuple[B
 
 
 def purify(s: BlochState) -> PurifiedReference:
-    """Nearest z-eigenstate per qubit; the tie at theta = pi/2 goes to +1."""
-    return PurifiedReference(tuple(1 if th <= math.pi / 2 else -1 for th in s.theta))
+    """Nearest z-eigenstate per qubit, by the sign of cos(theta); the tie at pi/2 goes to +1."""
+    return PurifiedReference(tuple(1 if c >= 0 else -1 for c in np.cos(s.theta)))
 
 
 def reference_state(ref: PurifiedReference) -> BlochState:

@@ -19,7 +19,6 @@ from iqcc import exact
 from iqcc.exact import (
     BudgetError,
     apply_operator,
-    apply_word,
     dense_matrix,
     expectation,
     ground_state,
@@ -50,14 +49,14 @@ def _operator(rng, n: int, odd_y: bool) -> Operator:
 
 def test_apply_word_identity(rng):
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    out = apply_word(v, PauliWord.from_label("III"))
+    out = apply_operator(Operator(3, [(PauliWord.from_label("III"), 1.0)]), v)
     assert np.allclose(out, v)
 
 
 def test_apply_word_flips_qubit_zero():
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0  # |00>
-    out = apply_word(v, PauliWord.from_label("XI"))
+    out = apply_operator(Operator(2, [(PauliWord.from_label("XI"), 1.0)]), v)
     expected = np.zeros(4, dtype=complex)
     expected[1] = 1.0  # qubit 0 flipped
     assert np.allclose(out, expected)
@@ -67,14 +66,14 @@ def test_apply_word_random_dense(rng):
     for _ in range(50):
         w = random_word(rng, 3)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.allclose(apply_word(v, w), dense_word(w) @ v, atol=1e-12)
+        assert np.allclose(apply_operator(Operator(3, [(w, 1.0)]), v), dense_word(w) @ v, atol=1e-12)
 
 
 def test_apply_word_norm_preserving(rng):
     v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     v /= np.linalg.norm(v)
     w = random_word(rng, 4)
-    assert np.linalg.norm(apply_word(v, w)) == pytest.approx(1.0)
+    assert np.linalg.norm(apply_operator(Operator(4, [(w, 1.0)]), v)) == pytest.approx(1.0)
 
 
 def test_apply_operator_random_dense(rng):
@@ -122,7 +121,7 @@ def test_shared_matvec_bits_do_not_depend_on_the_cpu_count(rng, monkeypatch, hel
         rows = exact._MatrixRows(h)
         assert rows.block == (1 << n) // max(blocks, exact._CHUNKS) and rows.span == (1 << n) // exact._CHUNKS
         vs = [rng.standard_normal(1 << n), rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)]
-        full = exact._MatrixRows(h)(0, 1 << n)  # one CSR matrix of whole rows
+        full = dense_matrix(h)
         want = [exact.make_matvec(h)(v) for v in vs]
         for v, out in zip(vs, want):
             assert out.dtype == (full @ v).dtype
@@ -149,7 +148,6 @@ def test_kept_matrix_stores_the_diagonal_and_half_the_rest(rng, monkeypatch, dia
     monkeypatch.setattr(exact, "_DIAG_CACHE_ENTRIES", (rows.stored + rows.runs * dim) // 2)
     built, upper = [], exact._MatrixRows.upper
     monkeypatch.setattr(exact._MatrixRows, "upper", lambda self, *args: built.append(upper(self, *args)) or built[-1])
-    monkeypatch.setattr(exact._MatrixRows, "__call__", lambda *args: pytest.fail("whole rows built"))
     v = rng.standard_normal(dim)
     matvec = exact.make_matvec(h)
     assert len(built) == exact._CHUNKS
@@ -259,7 +257,7 @@ def test_matvec_does_not_wait_for_helpers_that_never_start(rng, monkeypatch):
     monkeypatch.setattr(exact, "_CHUNK_ENTRIES", 1)  # eight chunks, so that helpers are asked for
     h = _operator(rng, 7, False)
     v = rng.standard_normal(1 << 7)
-    want, kept = exact._MatrixRows(h)(0, 1 << 7) @ v, []
+    want, kept = dense_matrix(h) @ v, []
     release = threading.Event()
     valve = threading.Timer(30.0, release.set)  # frees the worker should the matvec wait after all
     pool = ThreadPoolExecutor(1)
@@ -324,7 +322,7 @@ def operator_vector_word(draw):
 @given(operator_vector_word())
 def test_matvec_matches_dense_oracle(helpers, case):
     # one to three CPUs on both sides of the cache budget (the same bits), the dense matrix
-    # and apply_word against Kronecker products; n = 1 leaves three CPUs more threads than chunks,
+    # and one word applied alone against Kronecker products; n = 1 leaves three CPUs more threads than chunks,
     # and one chunk per stored entry gives these small operators the most chunks
     h, v, w = case
     real = not any(y_parity(t) for t, _ in h)
@@ -339,13 +337,13 @@ def test_matvec_matches_dense_oracle(helpers, case):
     for out in outs:
         assert out.dtype == kept.dtype and np.array_equal(out, kept)
     assert np.allclose(kept, dense_op(h) @ v, rtol=0.0, atol=1e-12)
-    assert np.allclose(kept, exact._MatrixRows(h)(0, 1 << h.n_qubits) @ v, rtol=0.0, atol=_tolerance(h))
-    if real:
-        assert np.allclose(kept, run_matvec(h, v), rtol=0.0, atol=_tolerance(h))
     mat = dense_matrix(h)
     assert mat.dtype == (np.float64 if real else np.complex128)
     assert np.allclose(mat, dense_op(h), rtol=0.0, atol=1e-12)
-    out = apply_word(v, w)
+    assert np.allclose(kept, mat @ v, rtol=0.0, atol=_tolerance(h))
+    if real:
+        assert np.allclose(kept, run_matvec(h, v), rtol=0.0, atol=_tolerance(h))
+    out = apply_operator(Operator(h.n_qubits, [(w, 1.0)]), v)
     assert out.dtype == (np.float64 if not y_parity(w) and v.dtype == np.float64 else np.complex128)
     assert np.allclose(out, dense_word(w) @ v, rtol=0.0, atol=1e-12)
 
@@ -357,6 +355,38 @@ def test_dense_matrix_matches_kron_oracle(rng):
             mat = dense_matrix(h)
             assert mat.dtype == dtype
             assert np.allclose(mat, dense_op(h), atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_dense_matrix_writes_out_the_stored_half(rng, monkeypatch, blocks):
+    # the diagonal and upper triangle are, bit for bit, the entries the kept matvec stores (eight
+    # chunks, each in `blocks` row blocks), the lower triangle their conjugates, the rest zero
+    n = 6
+    monkeypatch.setattr(exact, "_CHUNK_ENTRIES", 1)
+    for odd_y, diagonal in itertools.product((False, True), repeat=2):
+        h = _operator(rng, n, odd_y)
+        h = Operator(n, [(w, c) for w, c in h if w.x_mask] + ([(PauliWord(n, 0, 5), 0.3)] if diagonal else []))
+        monkeypatch.setattr(exact, "_BLOCK_ENTRIES", exact._MatrixRows(h).runs * (1 << n) // (exact._CHUNKS * blocks))
+        rows = exact._MatrixRows(h)
+        assert rows.diagonal == diagonal and rows.span == rows.block * blocks == (1 << n) // exact._CHUNKS
+        mat = dense_matrix(h)
+        assert mat.dtype == rows.low.dtype and np.array_equal(mat, mat.conj().T)
+        seen = np.eye(1 << n, dtype=bool)
+        for start, diag, indptr, cols, data in (rows.upper(s, rows.span) for s in range(0, rows.dim, rows.span)):
+            i = np.repeat(np.arange(start, start + len(diag)), np.diff(indptr))
+            assert np.diagonal(mat)[start : start + len(diag)].real.tobytes() == diag.tobytes()
+            assert mat[i, cols].tobytes() == data.tobytes()
+            assert mat[cols, i].tobytes() == data.conj().tobytes()
+            seen[i, cols] = seen[cols, i] = True
+        assert not np.diagonal(mat).imag.any() and not mat[~seen].any()
+        assert np.allclose(mat, dense_op(h), rtol=0.0, atol=1e-12)
+
+
+def test_dense_matrix_budget_refusal(monkeypatch):
+    # above the dense limit it raises before anything is built or allocated
+    monkeypatch.setattr(exact, "_MatrixRows", lambda h: pytest.fail("matrix rows built"))
+    with pytest.raises(BudgetError, match="dense mode limited to 10 qubits, got 11"):
+        dense_matrix(Operator(11, [(PauliWord(11, 1, 1), 1.0)]))
 
 
 def test_ground_state_diagonal():

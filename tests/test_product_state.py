@@ -374,6 +374,9 @@ def test_purify_poles_and_tiebreak():
     assert purify(s).bits == (1, -1)
     s = BlochState(np.array([math.pi / 2 - 1e-9, math.pi / 2]), np.zeros(2))
     assert purify(s).bits == (1, 1)
+    # outside [0, pi] the sign of <z> = cos(theta) decides
+    s = BlochState(np.array([5.0, -0.1, 4.0]), np.zeros(3))
+    assert purify(s).bits == (1, 1, -1)
 
 
 def test_purify_maximizes_overlap(rng):
