@@ -38,13 +38,17 @@ def minimize(fun: Objective, x0: np.ndarray, maxiter: int) -> Result:
     Succeeds when the gradient's infinity norm is at most GRAD_TOL.  After
     `maxiter` steps, or when a line search finds no acceptable step, it
     returns the current point unconverged; every accepted step lowers the
-    value, so `fun` is never above the value at `x0`.  A non-finite value or
-    gradient at any point ends the search there with a non-finite `fun`.
+    value, so `fun` is never above the value at `x0`.  Any non-finite number
+    ends the search with a non-finite `fun`: a value or a gradient at a point,
+    a coordinate of a point (which `fun` is not called at) or a slope gᵀp that
+    overflows (no sufficient decrease can be tested against it).
     """
     nfev = 0
 
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal nfev
+        if not np.isfinite(x).all():
+            return math.nan, np.full_like(x, math.nan)
         nfev += 1
         f, g = fun(x)
         g = np.asarray(g, dtype=np.float64)
@@ -53,15 +57,19 @@ def minimize(fun: Objective, x0: np.ndarray, maxiter: int) -> Result:
     x = np.array(x0, dtype=np.float64)
     f, g = evaluate(x)
     h = np.eye(x.size)  # inverse Hessian estimate
-    f_prev = f + float(np.linalg.norm(g)) / 2  # the value before the last step, as scipy guesses it at the start
+    with np.errstate(over="ignore"):  # a norm that overflows comes with a slope that does, which fails the start
+        f_prev = f + float(np.linalg.norm(g)) / 2  # the value before the last step, as scipy guesses it at the start
     for _ in range(maxiter):
         if not math.isfinite(f) or np.abs(g).max() <= GRAD_TOL:
             break
-        p = -h @ g
-        slope = float(g @ p)
-        if not slope < 0:  # h has lost positive definiteness: restart along steepest descent
-            h, p = np.eye(x.size), -g
+        with np.errstate(over="ignore"):  # an overflowing slope is decided below
+            p = -h @ g
             slope = float(g @ p)
+            if not slope < 0:  # h has lost positive definiteness: restart along steepest descent
+                h, p = np.eye(x.size), -g
+                slope = float(g @ p)
+        if not math.isfinite(slope):
+            return Result(x, math.nan, nfev, False)
         # scipy's first trial: the step that would repeat the last decrease, if below 1
         step = min(1.0, 1.01 * 2 * (f - f_prev) / slope)
         found = _line_search(evaluate, x, f, p, slope, step if step > 0 else 1.0)

@@ -175,12 +175,10 @@ def cmd_run(args) -> int:
     penalty = None
     if config.mu > 0.0:
         if not args.s2:
-            print("error: --mu requires --s2 <operator file>", file=sys.stderr)
-            return 1
+            raise ValueError("--mu requires --s2 <operator file>")
         penalty = _load_operator(args.s2)
     elif args.s2:
-        print("error: --s2 requires a positive --mu (flag or manifest)", file=sys.stderr)
-        return 1
+        raise ValueError("--s2 requires a positive --mu (flag or manifest)")
 
     e_exact = None
     if h.n_qubits <= exact.ITERATIVE_QUBIT_LIMIT:

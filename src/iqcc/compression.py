@@ -36,9 +36,6 @@ def compress(h: Operator, epsilon: float) -> tuple[Operator, CompressionReport]:
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     m = len(h)
-    if m == 0:
-        return h, CompressionReport(epsilon, 0, 0, 0.0)
-
     xs, zs, cs = h.x_masks, h.z_masks, h.coefficients
     mags = np.abs(cs)
     cand = np.flatnonzero((xs | zs) != 0)  # identity exempt

@@ -101,8 +101,6 @@ def _objective(h: Operator, generators: Sequence[PauliWord], n: int):
     g = len(generators)
 
     def fun(x: np.ndarray):
-        if not np.isfinite(x).all():  # an overflowed line search: a failed evaluation, not bad input
-            return math.nan, np.full_like(x, math.nan)
         taus = x[:g]
         state = BlochState(x[g : g + n], x[g + n :])
         chain = [h]

@@ -256,7 +256,6 @@ def apply_operator(h: Operator, vec: np.ndarray) -> np.ndarray:
 
 def expectation(vec: np.ndarray, h: Operator) -> float:
     """Real part of <v|h|v>; the imaginary residue must be numerical noise."""
-    _check_dim(vec, h.n_qubits)
     val = complex(np.vdot(vec, apply_operator(h, vec)))
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ArithmeticError(f"non-real expectation {val} of a real operator")

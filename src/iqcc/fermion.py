@@ -319,6 +319,8 @@ def build_symmetry_operator(kind: str, n_so: int, mapping: str = "jw") -> Operat
     """
     if n_so % 2 != 0 or n_so < 2:
         raise ValueError("n_so must be a positive even spin-orbital count")
+    if mapping not in _MAJORANAS:
+        raise ValueError(f"unknown mapping {mapping!r}; expected one of {', '.join(_MAJORANAS)}")
     table = _MAJORANAS[mapping](n_so)
     nsp = n_so // 2
     j = np.arange(n_so)
@@ -368,7 +370,7 @@ class QubitAssignment:
 
 def find_stationary_qubits(h: Operator) -> frozenset[int]:
     """Positions carrying only identity or z in every term of h."""
-    union_x = int(np.bitwise_or.reduce(h.x_masks)) if len(h) else 0
+    union_x = int(np.bitwise_or.reduce(h.x_masks))
     return frozenset(j for j in range(h.n_qubits) if not (union_x >> j) & 1)
 
 
@@ -386,8 +388,6 @@ def reduce_qubits(h: Operator, assignment: QubitAssignment) -> Operator:
     position is not stationary in h.
     """
     positions = assignment.positions
-    if not positions:
-        return h
     if any(not 0 <= p < h.n_qubits for p in positions):
         raise ValueError("assignment position out of range")
     stationary = find_stationary_qubits(h)

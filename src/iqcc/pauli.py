@@ -506,7 +506,7 @@ def read_operator(stream: TextIO) -> Operator:
             raise ParseError(f"line {lineno}: word length {len(label)} != {n}")
         try:
             word = PauliWord.from_label(label)
-        except ParseError as exc:
+        except ValueError as exc:  # a bad letter, or more than MAX_QUBITS of them
             raise ParseError(f"line {lineno}: {exc}") from exc
         terms.append((word, coeff))
     if n is None:

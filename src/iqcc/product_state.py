@@ -159,8 +159,6 @@ def _block_values(s: BlochState, h: Operator) -> tuple[np.ndarray, np.ndarray, n
 def energy(s: BlochState, h: Operator) -> float:
     """Sum of coefficient * word expectation over all terms."""
     _check_state(s, h.n_qubits)
-    if h.is_empty:
-        return 0.0
     return float(h.coefficients @ _block_values(s, h)[2])
 
 
@@ -175,9 +173,6 @@ def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, 
     derivative row once.
     """
     _check_state(s, h.n_qubits)
-    n = h.n_qubits
-    if h.is_empty:
-        return 0.0, np.zeros(n), np.zeros(n)
     index, values, prod = _block_values(s, h)
     cs = h.coefficients
     blocks = len(values)
@@ -192,7 +187,7 @@ def energy_and_gradient(s: BlochState, h: Operator) -> tuple[float, np.ndarray, 
             after = after * values[b]
     weights = np.bincount(index.ravel(), weights=rest.ravel(), minlength=blocks * _PATTERNS)
     rows = s.block_tables[1:].reshape(2, _K, blocks, _PATTERNS)
-    grads = np.einsum("dqbp,bp->dbq", rows, weights.reshape(blocks, _PATTERNS)).reshape(2, -1)[:, :n]
+    grads = np.einsum("dqbp,bp->dbq", rows, weights.reshape(blocks, _PATTERNS)).reshape(2, -1)[:, : h.n_qubits]
     return float(cs @ prod), grads[0], grads[1]
 
 

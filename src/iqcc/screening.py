@@ -200,6 +200,6 @@ def sample_generators(
         raise ValueError("n_g must be >= 1")
     rng = np.random.default_rng(rng_seed)
     chosen = []
-    for group in groups[: min(n_g, len(groups))]:
+    for group in groups[:n_g]:
         chosen.append(random_group_member(group, group.representative.n_qubits, rng))
     return chosen

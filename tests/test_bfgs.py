@@ -96,6 +96,23 @@ def test_a_non_finite_trial_point_ends_the_search(wall):
     assert res.nfev == fun.calls == 4
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_coordinate_is_not_evaluated(value):
+    fun = _counted(_rosenbrock)
+    res = minimize(fun, np.array([value, 1.0]), maxiter=500)
+    assert not res.success and math.isnan(res.fun)
+    assert res.nfev == fun.calls == 0
+
+
+def test_an_overflowing_slope_ends_the_start():
+    # a finite value and gradient whose slope gᵀp = -|g|² overflows: no decrease can be tested against it
+    fun = _counted(lambda x: (1.0, np.array([1e200, 1e200])))
+    res = minimize(fun, np.zeros(2), maxiter=500)
+    assert not res.success and math.isnan(res.fun)
+    assert res.x.tolist() == [0.0, 0.0]
+    assert res.nfev == fun.calls == 1
+
+
 def test_importing_the_package_leaves_scipy_optimize_unloaded():
     src = str(Path(iqcc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqcc.compression import compress
+from iqcc.compression import CompressionReport, compress
 from iqcc.pauli import Operator, PauliWord, frobenius_norm
 
 from conftest import dense_op, lexsort_compress, random_operator
@@ -40,6 +40,9 @@ def test_compress_nothing_to_drop():
     assert out == h
     assert report.terms_before == report.terms_after == 2
     assert report.dropped_norm == 0.0
+    empty = Operator.zero(3)
+    out, report = compress(empty, 1e-3)
+    assert out is empty and report == CompressionReport(1e-3, 0, 0, 0.0)
 
 
 def test_compress_dropped_norm_within_budget(rng):

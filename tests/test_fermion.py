@@ -281,6 +281,7 @@ def test_find_stationary_by_inspection():
     assert find_stationary_qubits(h) == frozenset({0})
     h = Operator.from_labels({"XX": 1.0, "ZZ": 0.5})
     assert find_stationary_qubits(h) == frozenset()
+    assert find_stationary_qubits(Operator.zero(3)) == frozenset({0, 1, 2})
 
 
 def test_parity_mapping_stationary_positions(rng):
@@ -308,6 +309,7 @@ def test_reduce_substitutes_eigenvalue():
     out = reduce_qubits(h, QubitAssignment({0: -1}))
     assert out.n_qubits == 1
     assert out.coefficient(PauliWord.from_label("X")) == pytest.approx(-2.0)
+    assert reduce_qubits(h, QubitAssignment({})) == h
 
 
 def test_reduce_identity_positions_keep_coefficients():
@@ -394,6 +396,13 @@ def test_symmetry_operators_match_fock_matrices(n_so):
     for kind, mat in (("n", number), ("sz", sz), ("s2", s2)):
         assert np.allclose(dense_op(build_symmetry_operator(kind, n_so, "jw")), mat, atol=1e-12)
         assert np.allclose(dense_op(build_symmetry_operator(kind, n_so, "parity")), _parity_basis(mat), atol=1e-12)
+
+
+def test_symmetry_operator_rejects_unknown_kind_and_mapping():
+    with pytest.raises(ValueError, match="unknown symmetry operator kind 'q'"):
+        build_symmetry_operator("q", 4, "jw")
+    with pytest.raises(ValueError, match="unknown mapping 'bogus'; expected one of jw, parity"):
+        build_symmetry_operator("n", 4, "bogus")
 
 
 def test_s2_spectrum_four_spin_orbitals():

@@ -220,3 +220,5 @@ def test_text_format_errors():
         read_operator(io.StringIO("0.5 X\n0.5 XX\n"))
     with pytest.raises(ParseError):
         read_operator(io.StringIO("# only comments\n"))
+    with pytest.raises(ParseError, match=r"line 2: qubit count must be in \[1, 64\], got 65"):
+        read_operator(io.StringIO("# one letter too many\n0.5 " + "X" * 65 + "\n"))

@@ -356,9 +356,11 @@ def test_qmf_minimize_keeps_only_finite_minima(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
 def test_qmf_minimize_raises_when_the_energy_overflows():
+    # where the energy stays finite, the slope overflows (the tenth start), which fails the start too
     h = Operator.from_labels({"ZI": 1e308, "IZ": 1e308, "XX": 1.0})
-    with pytest.raises(ArithmeticError, match="finite energy"):
-        qmf_minimize(h, n_guesses=1, rng_seed=0)
+    for n_guesses in (1, 10):
+        with pytest.raises(ArithmeticError, match=f"no mean-field start of {n_guesses} reached a finite energy"):
+            qmf_minimize(h, n_guesses=n_guesses, rng_seed=0)
 
 
 def test_qmf_energy_above_ground(rng):
