@@ -32,6 +32,7 @@ class Result(NamedTuple):
     success: bool  # the gradient's infinity norm reached GRAD_TOL
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every non-finite number is decided here, without a warning
 def minimize(fun: Objective, x0: np.ndarray, maxiter: int) -> Result:
     """Minimize `fun` from `x0`, where fun(x) returns (value, gradient).
 
@@ -57,17 +58,15 @@ def minimize(fun: Objective, x0: np.ndarray, maxiter: int) -> Result:
     x = np.array(x0, dtype=np.float64)
     f, g = evaluate(x)
     h = np.eye(x.size)  # inverse Hessian estimate
-    with np.errstate(over="ignore"):  # a norm that overflows comes with a slope that does, which fails the start
-        f_prev = f + float(np.linalg.norm(g)) / 2  # the value before the last step, as scipy guesses it at the start
+    f_prev = f + float(np.linalg.norm(g)) / 2  # the value before the last step, as scipy guesses it at the start
     for _ in range(maxiter):
         if not math.isfinite(f) or np.abs(g).max() <= GRAD_TOL:
             break
-        with np.errstate(over="ignore"):  # an overflowing slope is decided below
-            p = -h @ g
+        p = -h @ g
+        slope = float(g @ p)
+        if not slope < 0:  # h has lost positive definiteness: restart along steepest descent
+            h, p = np.eye(x.size), -g
             slope = float(g @ p)
-            if not slope < 0:  # h has lost positive definiteness: restart along steepest descent
-                h, p = np.eye(x.size), -g
-                slope = float(g @ p)
         if not math.isfinite(slope):
             return Result(x, math.nan, nfev, False)
         # scipy's first trial: the step that would repeat the last decrease, if below 1
@@ -82,7 +81,7 @@ def minimize(fun: Objective, x0: np.ndarray, maxiter: int) -> Result:
         sy = float(s @ y)
         if sy > 0:  # the curvature condition holds; otherwise keep h
             hy = h @ y
-            h += ((sy + y @ hy) / sy * np.outer(s, s) - np.outer(hy, s) - np.outer(s, hy)) / sy
+            h += ((sy + y @ hy) / sy * (s[:, None] * s) - hy[:, None] * s - s[:, None] * hy) / sy
         f_prev, x, f, g = f, x_new, f_new, g_new
     return Result(x, f, nfev, math.isfinite(f) and np.abs(g).max() <= GRAD_TOL)
 

@@ -101,12 +101,11 @@ def _objective(h: Operator, generators: Sequence[PauliWord], n: int):
     g = len(generators)
 
     def fun(x: np.ndarray):
-        taus = x[:g]
         state = BlochState(x[g : g + n], x[g + n :])
         chain = [h]
         steps = []
-        for p, tau in zip(generators, taus):
-            steps.append(DressingStep(p, float(tau)))
+        for p, tau in zip(generators, x[:g].tolist()):
+            steps.append(DressingStep(p, tau))
             chain.append(dress(chain[-1], steps[-1]))
         e, g_theta, g_phi = energy_and_gradient(state, chain[-1])
         g_tau = np.empty(g)

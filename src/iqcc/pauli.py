@@ -388,25 +388,31 @@ def flip_runs(h: Operator) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(slots=True, eq=False)
 class _RotationPlan:
-    """What a rotation of one word set by one word keeps for its next call:
-    each unmerged term's source term, factor index and merged word, all intp
-    so that a call gathers and sums without converting them, the merged
-    words' x and z masks, and `last`: the last call's dust pattern, its kept
-    words and the memo of the operators holding them."""
+    """What a rotation of one word set by one word keeps for its next call.
+
+    The unmerged terms are the terms commuting with the word (if kept), then
+    those anticommuting, then the word each of the latter spawns; `anti` and
+    `spawned` are where the last two segments start.  For each unmerged term
+    the plan holds its source term and merged word (intp, so that a call
+    gathers and sums without converting them) and its sign (+1, or the
+    spawned word's +-1, as float64); then the merged words' x and z masks,
+    and `last`: the last call's dust pattern (its bytes), the indices of the
+    words it keeps (None when it keeps them all), those words and the memo of
+    the operators holding them."""
 
     src: np.ndarray
-    factor: np.ndarray
+    sign: np.ndarray
     word: np.ndarray
+    anti: int
+    spawned: int
     xs: np.ndarray
     zs: np.ndarray
-    last: tuple[np.ndarray, np.ndarray, np.ndarray, dict] | None = None
+    last: tuple[bytes, np.ndarray | None, np.ndarray, np.ndarray, dict] | None = None
 
 
 def _rotation_plan(h: Operator, p: PauliWord, commuting: bool) -> _RotationPlan | None:
     """The plan of a rotation of h by p, or None when no term of h
-    anticommutes with p.  Its unmerged terms are the terms commuting with p
-    (if kept), those anticommuting, and the word +-(w*p) each of the latter
-    spawns, with factors (1, a, b, -b)[factor]; they merge by `_merge_plan`."""
+    anticommutes with p.  Its unmerged terms merge by `_merge_plan`."""
     anti = anticommuting(h, p)
     if not anti.any():
         return None
@@ -415,10 +421,11 @@ def _rotation_plan(h: Operator, p: PauliWord, commuting: bool) -> _RotationPlan 
     xa, za = h.x_masks[ia], h.z_masks[ia]
     xn, zn, k = word_products(xa, za, np.uint64(p.x_mask), np.uint64(p.z_mask))
     # k is odd for anticommuting pairs, so -(i/2)[c*w, p] = -i * i**k * c * (w*p) is +-c * (w*p)
-    factor = np.concatenate([np.zeros(len(ir)), np.ones(len(ia)), np.where(k == 1, 2, 3)])
+    sign = np.concatenate([np.ones(len(ir) + len(ia)), np.where(k == 1, 1.0, -1.0)])
     xs, zs = np.concatenate([h.x_masks[ir], xa, xn]), np.concatenate([h.z_masks[ir], za, zn])
     word, first = _merge_plan(xs, zs)
-    return _RotationPlan(*frozen(np.concatenate([ir, ia, ia]), factor.astype(np.intp), word, xs[first], zs[first]))
+    src, sign, word, xs, zs = frozen(np.concatenate([ir, ia, ia]), sign, word, xs[first], zs[first])
+    return _RotationPlan(src, sign, word, len(ir), len(ir) + len(ia), xs, zs)
 
 
 def rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True) -> Operator:
@@ -430,30 +437,43 @@ def rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True
     one word +-c * (w*p).  Returns h itself (or, without `commuting`, the
     zero operator) when no term anticommutes with p.
 
-    The plan (`_rotation_plan`: each unmerged term's source, factor and
-    merged word, and the merged words) depends on h's words, p and
-    `commuting` only, so it is built once and kept in h's memo, and no call
-    derives the terms again.  Every call gathers the coefficients, sums them
-    by the plan and drops dust, with the canonical merge's summation rule,
-    so the result has the same bits as a fresh merge.  Results with the
-    dust pattern of the previous call share its word arrays and their memo.
-    An operator's memo lives as long as the operators sharing it, and it
-    keeps the plans made from it and, through them, the memos of their
-    results.
+    The plan (`_rotation_plan`: each unmerged term's source, sign and merged
+    word, the segment bounds and the merged words) depends on h's words, p
+    and `commuting` only, so it is built once and kept in h's memo, and no
+    call derives the terms again.  Every call gathers the coefficients times
+    their signs, scales the anticommuting segment by a and the spawned one
+    by b in place (c * a, and c * +-b as (+-c) * b: the same products, signed
+    zeros included), sums them by the plan and drops dust, with the
+    canonical merge's summation rule, so the result has the same bits as a
+    fresh merge.  Results with the dust pattern of the previous call share
+    its word arrays and their memo.  An operator's memo lives as long as the
+    operators sharing it, and it keeps the plans made from it and, through
+    them, the memos of their results.
     """
     if h.n_qubits != p.n_qubits:
         raise DimensionError("operator/word qubit mismatch")
     key = (p.x_mask, p.z_mask, commuting)
-    if key not in h._memo:
-        h._memo[key] = _rotation_plan(h, p, commuting)
-    plan = h._memo[key]
+    try:
+        plan = h._memo[key]
+    except KeyError:
+        plan = h._memo[key] = _rotation_plan(h, p, commuting)
     if plan is None:
         return h if commuting else Operator.zero(h.n_qubits)
-    sums, keep = _merge(plan.word, h.coefficients[plan.src] * np.array([1.0, a, b, -b])[plan.factor])
-    if plan.last is None or not np.array_equal(keep, plan.last[0]):
-        plan.last = (*frozen(keep, plan.xs[keep], plan.zs[keep]), {})
-    _, xs, zs, memo = plan.last
-    return Operator._from_canonical(h.n_qubits, xs, zs, sums[keep], memo)
+    weights = h.coefficients[plan.src]
+    weights *= plan.sign
+    weights[plan.anti : plan.spawned] *= a
+    weights[plan.spawned :] *= b
+    sums, keep = _merge(plan.word, weights)
+    pattern = keep.tobytes()
+    if plan.last is None or plan.last[0] != pattern:
+        rows = None if keep.all() else np.flatnonzero(keep)
+        words = (plan.xs, plan.zs) if rows is None else frozen(plan.xs[rows], plan.zs[rows])
+        plan.last = (pattern, rows, *words, {})
+    _, rows, xs, zs, memo = plan.last
+    out = Operator.__new__(Operator)  # the plan's words are canonical, uint64 and read-only already
+    out.n_qubits, out._xs, out._zs, out._memo = h.n_qubits, xs, zs, memo
+    out._cs = frozen(sums if rows is None else sums[rows])[0]
+    return out
 
 
 def commutator_half(h: Operator, p: PauliWord) -> Operator:

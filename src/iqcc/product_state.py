@@ -27,22 +27,26 @@ from functools import cached_property
 import numpy as np
 
 from .bfgs import minimize
-from .pauli import DimensionError, Operator, frozen
+from .pauli import MAX_QUBITS, DimensionError, Operator, frozen
 
 logger = logging.getLogger(__name__)
 
 _K = 4  # qubits per block of the pattern tables
 _PATTERNS = 4**_K  # letter patterns of one block
-# bit q of a block's x or z mask moved to bit 2q: its share of the pattern
-_SPREAD = np.array([sum((v >> q & 1) << 2 * q for q in range(_K)) for v in range(1 << _K)], dtype=np.intp)
-# Each slot's value row in each table, by letter code (I, x, z, y), among the
-# rows 1, 0, <x>, <z>, <y>, their d/dtheta and d<x>/dphi (d<y>/dphi is <x>):
-# table 0 takes the factors f throughout, table 1 + q slot q's d/dtheta and
-# table 1 + _K + q its d/dphi.
-_F, _DTHETA, _DPHI = [0, 2, 3, 4], [1, 5, 6, 7], [1, 8, 1, 2]
-_SLOT_ROWS = np.array(
-    [[_F] * _K] + [[d if r == q else _F for r in range(_K)] for d in (_DTHETA, _DPHI) for q in range(_K)],
-    dtype=np.intp,
+_BLOCKS = -(-MAX_QUBITS // _K)  # blocks of the widest operator
+# a block's pattern by its x mask + 2**_K * its z mask: slot q's letter code x + 2z is digit q
+_PATTERN_OF = np.array(
+    [sum(4**q * ((v >> q & 1) + 2 * (v >> _K + q & 1)) for q in range(_K)) for v in range(1 << 2 * _K)], dtype=np.intp
+)
+_SHIFTS = _K * np.arange(_BLOCKS, dtype=np.uint64)[:, None]  # block b's masks start at bit _K * b
+_OFFSETS = _PATTERNS * np.arange(_BLOCKS)[:, None]  # block b's patterns start at column 256b
+# Which of a qubit's letter values each slot of each table reads (0 the factors
+# f, 1 their d/dtheta, 2 their d/dphi): table 0 takes f throughout, table 1 + q
+# slot q's d/dtheta and table 1 + _K + q its d/dphi.
+_KIND = np.array([[0] * _K] + [[d if r == q else 0 for r in range(_K)] for d in (1, 2) for q in range(_K)])
+# [tables x blocks x slots x letters] flat index into the [qubits x 3 x 4] letter values (I, x, z, y)
+_SLOT_INDEX = (
+    12 * (_K * np.arange(_BLOCKS)[:, None] + np.arange(_K))[:, :, None] + 4 * _KIND[:, None, :, None] + np.arange(4)
 )
 
 
@@ -79,14 +83,22 @@ class BlochState:
         blocks = -(-n // _K)
         st, ct = np.sin(self.theta), np.cos(self.theta)
         sp, cp = np.sin(self.phi), np.cos(self.phi)
-        rows = np.zeros((9, _K * blocks))  # the value rows of _SLOT_ROWS, by qubit
-        rows[0] = 1.0
-        rows[2:, :n] = [st * cp, ct, st * sp, ct * cp, -st, ct * sp, -st * sp]
-        slots = rows[_SLOT_ROWS[:, None], np.arange(_K * blocks).reshape(blocks, _K, 1)]
+        values = np.zeros((_K * blocks, 3, 4))  # f, d/dtheta, d/dphi by letter; past the last qubit, identity
+        values[:, 0, 0] = 1.0
+        f, dth, dph = values[:n].transpose(1, 2, 0)
+        np.multiply(st, cp, out=f[1])  # <x>
+        f[2] = ct  # <z>
+        np.multiply(st, sp, out=f[3])  # <y>
+        np.multiply(ct, cp, out=dth[1])
+        np.negative(st, out=dth[2])
+        np.multiply(ct, sp, out=dth[3])
+        np.negative(f[3], out=dph[1])
+        dph[3] = f[1]
+        slots = values.take(_SLOT_INDEX[:, :blocks])
         tables = slots[:, :, 0]
         for q in range(1, _K):  # slot q is digit q of the pattern
-            tables = (tables[:, :, None, :] * slots[:, :, q, :, None]).reshape(len(_SLOT_ROWS), blocks, -1)
-        return frozen(tables.reshape(len(_SLOT_ROWS), -1))[0]
+            tables = (tables[:, :, None, :] * slots[:, :, q, :, None]).reshape(len(_KIND), blocks, -1)
+        return frozen(tables.reshape(len(_KIND), -1))[0]
 
     def normalized(self) -> "BlochState":
         """Copy with theta in [0, pi] and phi in [0, 2*pi).
@@ -138,11 +150,12 @@ def _block_index(h: Operator) -> np.ndarray:
     last qubit are identity; read-only, and the energies read it from h's memo,
     so each word set builds it once."""
     blocks = -(-h.n_qubits // _K)
-    shifts = _K * np.arange(blocks, dtype=np.uint64)[:, None]
-    nibble = np.uint64((1 << _K) - 1)
-    x = ((h.x_masks >> shifts) & nibble).astype(np.intp)
-    z = ((h.z_masks >> shifts) & nibble).astype(np.intp)
-    return frozen(_SPREAD[x] + 2 * _SPREAD[z] + _PATTERNS * np.arange(blocks)[:, None])[0]
+    shifts, nibble = _SHIFTS[:blocks], np.uint64((1 << _K) - 1)
+    code = ((h.z_masks >> shifts) & nibble) << np.uint64(_K)
+    code |= (h.x_masks >> shifts) & nibble
+    index = _PATTERN_OF[code.astype(np.intp)]
+    index += _OFFSETS[:blocks]
+    return frozen(index)[0]
 
 
 def _block_values(s: BlochState, h: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

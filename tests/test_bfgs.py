@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,21 @@ def test_an_overflowing_slope_ends_the_start():
     assert not res.success and math.isnan(res.fun)
     assert res.x.tolist() == [0.0, 0.0]
     assert res.nfev == fun.calls == 1
+
+
+def test_an_objective_that_overflows_in_numpy_ends_the_start_without_a_warning():
+    # -sum(exp(x)) falls without bound: the first line search doubles its step from 1 until exp overflows at 1024
+    @_counted
+    def fun(x):
+        e = np.exp(x)
+        return -float(e.sum()), -e
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize(fun, np.zeros(1), maxiter=500)
+    assert not res.success and not math.isfinite(res.fun)
+    assert res.x.tolist() == [1024.0]
+    assert res.nfev == fun.calls == 12
 
 
 def test_importing_the_package_leaves_scipy_optimize_unloaded():

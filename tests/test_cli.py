@@ -382,7 +382,6 @@ def test_overflowing_operator_is_solver_failure(tmp_path, capsys, command):
     assert not list(tmp_path.glob("huge.*.*"))  # nothing written
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
 def test_screen_with_no_finite_mean_field_start_is_solver_failure(tmp_path, capsys):
     op = tmp_path / "huge.op"
     op.write_text("1e308 ZI\n1e308 IZ\n1.0 XX\n")
@@ -392,7 +391,6 @@ def test_screen_with_no_finite_mean_field_start_is_solver_failure(tmp_path, caps
     assert captured.out == ""  # no gradient table
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
 def test_run_with_no_finite_mean_field_start_is_solver_failure(tmp_path, capsys):
     # 17 qubits are past the oracle's budget, so the run reaches the mean-field start
     op = tmp_path / "huge.op"

@@ -152,7 +152,6 @@ def test_optimize_step_raises_when_no_start_is_finite(monkeypatch, tmp_path):
     assert main(["--outdir", str(tmp_path), "run", str(op), "--steps", "1"]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
 def test_overflowing_trial_point_is_a_failed_start_not_a_user_error():
     # every mean-field start on this operator overflows, in its energy or in its first slope
     h = Operator.from_labels({"ZI": 1e308, "IZ": 1e308, "XX": 1.0})

@@ -196,14 +196,19 @@ def test_memoized_rotate_matches_concatenating_reference(data):
             _assert_same_operator(got, want)
 
 
-# (a, b) pairs that move the dust pattern of a rotation of X + Y + Z/4 by Z
-DUST_STEPS = [(0.5, 0.25), (1e-13, 1e-13), (0.5, 0.25), (1.0, 1.0), (-0.0, 1.0), (0.5, 0.0), (0.5, 0.25)]
+# (a, b) pairs that move the dust pattern of a rotation of X - Y + Z/4 by Z,
+# signed zeros among them
+DUST_OPERATOR = {"X": 1.0, "Y": -1.0, "Z": 0.25}
+DUST_STEPS = [
+    (0.5, 0.25), (1e-13, 1e-13), (0.5, 0.25), (1.0, 1.0), (-0.0, 1.0), (0.5, 0.0), (0.5, -0.0), (-0.0, -0.0),
+    (0.5, 0.25),
+]
 
 
 def test_memoized_rotate_follows_the_dust_pattern():
     # X and Y anticommute with Z and spawn -c Y and +c X: the X coefficient is
-    # a + b and the Y one a - b, so a = b cancels Y, and tiny a and b leave dust
-    h = Operator.from_labels({"X": 1.0, "Y": 1.0, "Z": 0.25})
+    # a - b and the Y one -(a + b), so a = b cancels X, and tiny a and b leave dust
+    h = Operator.from_labels(DUST_OPERATOR)
     z = PauliWord.from_label("Z")
     for a, b in DUST_STEPS:
         for commuting in (True, False):
@@ -212,7 +217,7 @@ def test_memoized_rotate_follows_the_dust_pattern():
 
 def test_warm_rotations_derive_no_words(monkeypatch):
     # the operator and sequence of test_memoized_rotate_follows_the_dust_pattern
-    h = Operator.from_labels({"X": 1.0, "Y": 1.0, "Z": 0.25})
+    h = Operator.from_labels(DUST_OPERATOR)
     z = PauliWord.from_label("Z")
     for commuting in (True, False):
         rotate(h, z, 0.5, 0.25, commuting)
@@ -260,8 +265,12 @@ def test_rotation_plans_keep_read_only_intp_indices():
     for commuting in (True, False):
         rotate(h, p, 0.6, 0.8, commuting)
         plan = h._memo[(p.x_mask, p.z_mask, commuting)]
-        for a in (plan.src, plan.factor, plan.word):
+        for a in (plan.src, plan.word):
             assert a.dtype == np.intp and not a.flags.writeable
+        assert plan.sign.dtype == np.float64 and not plan.sign.flags.writeable
+        assert set(plan.sign[: plan.spawned].tolist()) == {1.0} and set(plan.sign.tolist()) <= {1.0, -1.0}
+        # ZZ and IZ anticommute with ZY; the commuting XZ and YX come first when kept
+        assert (plan.anti, plan.spawned, len(plan.src)) == ((2, 4, 6) if commuting else (0, 2, 4))
         for a in (plan.xs, plan.zs):
             assert a.dtype == np.uint64 and not a.flags.writeable
         # a warm call gathers through them and still merges as a fresh one

@@ -354,7 +354,6 @@ def test_qmf_minimize_keeps_only_finite_minima(monkeypatch):
         qmf_minimize(h, n_guesses=3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the energy overflows on purpose
 def test_qmf_minimize_raises_when_the_energy_overflows():
     # where the energy stays finite, the slope overflows (the tenth start), which fails the start too
     h = Operator.from_labels({"ZI": 1e308, "IZ": 1e308, "XX": 1.0})
