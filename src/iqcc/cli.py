@@ -145,6 +145,8 @@ def cmd_map(args) -> int:
             eigs = [assignment.eigenvalues[p] for p in assignment.positions]
             print(f"reduction: positions={list(assignment.positions)} eigenvalues={eigs}")
             print(f"reduced: qubits={h.n_qubits} terms={len(h)}")
+    if h.is_empty:  # a file no command reads back
+        raise ValueError("the mapped operator has no terms; no file written")
 
     out = _outdir(args) / (args.output or f"{Path(args.integrals).stem}.{args.mapping}.op")
     with open(out, "w") as fh:

@@ -34,7 +34,7 @@ MERGE_TOL = 1e-12  # floating-point dust cutoff; distinct from compression epsil
 MAX_QUBITS = 64
 
 _LETTER_OF_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_BITS_OF_LETTER = {v: k for k, v in _LETTER_OF_BITS.items()}
+_BITS_OF_LETTER = {c: k for k, v in _LETTER_OF_BITS.items() for c in (v, v.lower())}  # matched as written
 
 
 class DimensionError(ValueError):
@@ -62,9 +62,9 @@ class PauliWord:
 
     @classmethod
     def from_label(cls, label: str) -> "PauliWord":
-        """Build from a letter string, qubit 0 leftmost (e.g. "XZYI")."""
+        """Build from a letter string, qubit 0 leftmost (e.g. "XZYI" or "xzyi")."""
         x = z = 0
-        for j, ch in enumerate(label.upper()):
+        for j, ch in enumerate(label):
             if ch not in _BITS_OF_LETTER:
                 raise ParseError(f"invalid Pauli letter {ch!r} in {label!r}")
             xb, zb = _BITS_OF_LETTER[ch]
@@ -159,7 +159,7 @@ def parity_signs(a: np.ndarray, m) -> np.ndarray:
 def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays themselves, made read-only (shared or cached results)."""
     for a in arrays:
-        a.setflags(write=False)
+        a.setflags(False)  # write=False, passed by position: numpy parses keywords slowly
     return arrays
 
 
@@ -218,7 +218,8 @@ class Operator:
     """Real-coefficient linear combination of Pauli words, canonically merged.
 
     Immutable after construction; iteration yields (PauliWord, coefficient)
-    in lexicographic (x_mask, z_mask) order.
+    in lexicographic (x_mask, z_mask) order.  It holds read-only uint64 masks
+    and float64 coefficients, set by the constructor or `_from_canonical`.
     """
 
     __slots__ = ("n_qubits", "_xs", "_zs", "_cs", "_memo")
@@ -236,20 +237,9 @@ class Operator:
                 raise DimensionError(f"term on {w.n_qubits} qubits in {n_qubits}-qubit operator")
         if not 1 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
-        self._adopt(n_qubits, *_canonical_arrays(xs, zs, cs))
-
-    def _adopt(
-        self, n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, memo: dict | None = None
-    ) -> "Operator":
-        """Hold these canonical arrays, read-only, and `memo` (a new one if None)."""
         self.n_qubits = n_qubits
-        self._xs, self._zs, self._cs = frozen(
-            np.ascontiguousarray(xs, dtype=np.uint64),
-            np.ascontiguousarray(zs, dtype=np.uint64),
-            np.ascontiguousarray(cs, dtype=np.float64),
-        )
-        self._memo = {} if memo is None else memo
-        return self
+        self._xs, self._zs, self._cs = frozen(*_canonical_arrays(xs, zs, cs))
+        self._memo = {}
 
     def _memoized(self, build):
         """build(self), computed once per word set: every operator holding these
@@ -268,9 +258,14 @@ class Operator:
     def _from_canonical(
         cls, n_qubits: int, xs: np.ndarray, zs: np.ndarray, cs: np.ndarray, memo: dict | None = None
     ) -> "Operator":
-        """Adopt arrays already in canonical order (internal fast path); `memo`
-        is that of operators holding the very same mask arrays, if any."""
-        return cls.__new__(cls)._adopt(n_qubits, xs, zs, cs, memo)
+        """Hold canonical uint64, uint64 and float64 arrays as they are, made
+        read-only: no conversion, no copy.  `memo` is that of operators holding
+        the very same mask arrays, if any."""
+        op = cls.__new__(cls)
+        op.n_qubits = n_qubits
+        op._xs, op._zs, op._cs = frozen(xs, zs, cs)
+        op._memo = {} if memo is None else memo
+        return op
 
     @classmethod
     def zero(cls, n_qubits: int) -> "Operator":
@@ -445,10 +440,12 @@ def rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True
     by b in place (c * a, and c * +-b as (+-c) * b: the same products, signed
     zeros included), sums them by the plan and drops dust, with the
     canonical merge's summation rule, so the result has the same bits as a
-    fresh merge.  Results with the dust pattern of the previous call share
-    its word arrays and their memo.  An operator's memo lives as long as the
-    operators sharing it, and it keeps the plans made from it and, through
-    them, the memos of their results.
+    fresh merge.  `_from_canonical` makes the result from the plan's words,
+    or those a new dust pattern keeps, as they are; results with the dust
+    pattern of the previous call share its word arrays and their memo, and a
+    pattern that keeps every word shares the plan's arrays.  An operator's
+    memo lives as long as the operators sharing it, and it keeps the plans
+    made from it and, through them, the memos of their results.
     """
     if h.n_qubits != p.n_qubits:
         raise DimensionError("operator/word qubit mismatch")
@@ -467,13 +464,10 @@ def rotate(h: Operator, p: PauliWord, a: float, b: float, commuting: bool = True
     pattern = keep.tobytes()
     if plan.last is None or plan.last[0] != pattern:
         rows = None if keep.all() else np.flatnonzero(keep)
-        words = (plan.xs, plan.zs) if rows is None else frozen(plan.xs[rows], plan.zs[rows])
+        words = (plan.xs, plan.zs) if rows is None else (plan.xs[rows], plan.zs[rows])
         plan.last = (pattern, rows, *words, {})
     _, rows, xs, zs, memo = plan.last
-    out = Operator.__new__(Operator)  # the plan's words are canonical, uint64 and read-only already
-    out.n_qubits, out._xs, out._zs, out._memo = h.n_qubits, xs, zs, memo
-    out._cs = frozen(sums if rows is None else sums[rows])[0]
-    return out
+    return Operator._from_canonical(h.n_qubits, xs, zs, sums if rows is None else sums[rows], memo)
 
 
 def commutator_half(h: Operator, p: PauliWord) -> Operator:

@@ -111,6 +111,17 @@ def test_map_rejects_orbital_count_beyond_64_qubits(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["big.fcidump"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-reduce"]])
+def test_map_refuses_an_operator_with_no_terms(tmp_path, capsys, flags):
+    # one orbital whose only integral is zero maps to no terms: a file no command reads back
+    integrals = tmp_path / "zero.fcidump"
+    integrals.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n&END\n0.0 0 0 0 0\n")
+    assert main(["--outdir", str(tmp_path), "map", str(integrals), "-o", "zero.op", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "no terms" in err
+    assert not (tmp_path / "zero.op").exists()
+
+
 def test_exact_subcommand(tmp_path, capsys):
     main(["--outdir", str(tmp_path), "map", str(FIXTURE), "-o", "h2.op"])
     capsys.readouterr()

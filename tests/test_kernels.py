@@ -5,6 +5,7 @@ Words span up to 64 qubits, so the uint64 masks' top bit is exercised.
 
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from iqcc import pauli
 from iqcc.compression import compress
-from iqcc.fermion import _REALITY_TOL
+from iqcc.dressing import DressingStep, dress_sequence
+from iqcc.fermion import _REALITY_TOL, QubitAssignment, jordan_wigner, parity_map, parse_integrals, reduce_qubits
 from iqcc.pauli import (
     MERGE_TOL,
     DimensionError,
@@ -30,10 +32,12 @@ from iqcc.pauli import (
     word_products,
 )
 from iqcc.product_state import _block_index
+from iqcc.screening import partition_sectors
 
 from conftest import commutator_terms, concat_rotate, lexsort_canonical_arrays, unique_flip_runs
 
 N_QUBITS = st.integers(1, 64)
+FIXTURE = Path(__file__).parent / "fixtures" / "h2_sto3g.fcidump"
 
 
 @st.composite
@@ -292,3 +296,51 @@ def test_other_word_sets_start_with_an_empty_memo():
     # negation keeps the very same words, and their memo
     assert (-h)._memo is h._memo
     _assert_same_operator(rotate(-h, p, 0.6, 0.8), concat_rotate(-h, p, 0.6, 0.8))
+
+
+def _assert_read_only_canonical_arrays(op):
+    for a, dtype in ((op.x_masks, np.uint64), (op.z_masks, np.uint64), (op.coefficients, np.float64)):
+        assert a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable
+
+
+def test_every_way_to_make_an_operator_holds_read_only_canonical_arrays():
+    h = Operator.from_labels({"XZ": 1.0, "ZZ": 0.5, "IZ": 0.25, "YX": -0.75})
+    with FIXTURE.open() as fh:
+        data = parse_integrals(fh)
+    mapped = parity_map(data)
+    made = [
+        h,
+        Operator(2, h),
+        Operator.zero(2),
+        Operator._from_raw(2, np.array([3, 1, 3]), np.array([0, 1, 0]), np.array([1, 2, 3])),  # int64 in
+        Operator._from_raw(2, np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([])),
+        h + Operator.from_labels({"YY": 1.0}),
+        h - h,
+        h * 0.5,
+        h * 1e-20,
+        -h,
+        dress_sequence(h, [DressingStep(PauliWord.from_label(w), 0.3) for w in ("ZY", "XI")]),
+        compress(h, 0.1)[0],
+        *(sector.terms for sector in partition_sectors(h)),
+        reduce_qubits(mapped, QubitAssignment({1: 1, 3: -1})),
+        jordan_wigner(data),
+        mapped,
+        rotate(h, PauliWord.from_label("XX"), 0.6, 0.8),  # every term commutes: h itself
+        rotate(h, PauliWord.from_label("XX"), 0.6, 0.8, commuting=False),  # the zero operator
+    ]
+    for op in made:
+        _assert_read_only_canonical_arrays(op)
+    # X - Y + Z/4 rotated by Z: (0.5, 0.25) keeps every word, so the plan's own arrays; a = b cancels X,
+    # a new dust pattern, and (2, 2) repeats it
+    d = Operator.from_labels(DUST_OPERATOR)
+    z = PauliWord.from_label("Z")
+    every = rotate(d, z, 0.5, 0.25)
+    plan = d._memo[(z.x_mask, z.z_mask, True)]
+    assert len(every) == 3 and every.x_masks is plan.xs and every.z_masks is plan.zs
+    fewer = rotate(d, z, 1.0, 1.0)
+    again = rotate(d, z, 2.0, 2.0)
+    assert len(fewer) == 2 and fewer.x_masks is not plan.xs
+    assert again.x_masks is fewer.x_masks and again.z_masks is fewer.z_masks and again._memo is fewer._memo
+    for op in (every, fewer, again):
+        _assert_read_only_canonical_arrays(op)
+        assert op._memo is not d._memo

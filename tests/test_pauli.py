@@ -222,3 +222,9 @@ def test_text_format_errors():
         read_operator(io.StringIO("# only comments\n"))
     with pytest.raises(ParseError, match=r"line 2: qubit count must be in \[1, 64\], got 65"):
         read_operator(io.StringIO("# one letter too many\n0.5 " + "X" * 65 + "\n"))
+    # letters are looked up as written: 'ı'.upper() is "I" and 'ß'.upper() is "SS"
+    with pytest.raises(ParseError, match="line 1: invalid Pauli letter 'ı'"):
+        read_operator(io.StringIO("1.0 Xı\n"))
+    with pytest.raises(ParseError, match="line 1: invalid Pauli letter 'ß'"):
+        read_operator(io.StringIO("0.5 Xß\n"))
+    assert read_operator(io.StringIO("0.5 xYz\n")) == Operator.from_labels({"XYZ": 0.5})
